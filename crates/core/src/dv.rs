@@ -14,16 +14,62 @@ use aa_graph::{VertexId, Weight, INF};
 /// Returns whether any entry decreased. `INF` saturates.
 #[inline]
 pub fn relax_row(dst: &mut [Weight], src: &[Weight], offset: Weight) -> bool {
-    debug_assert_eq!(dst.len(), src.len());
     let mut changed = false;
-    for (d, &s) in dst.iter_mut().zip(src) {
+    relax_row_tracked(dst, src, offset, |_| changed = true);
+    changed
+}
+
+/// [`relax_row`] that also reports every decreased column to `on_change`.
+/// Scans in fixed-width chunks: a chunk with no improvement (the common
+/// case) costs one branch-free, vectorizable compare and no stores.
+#[inline]
+pub fn relax_row_tracked(
+    dst: &mut [Weight],
+    src: &[Weight],
+    offset: Weight,
+    mut on_change: impl FnMut(u32),
+) {
+    debug_assert_eq!(dst.len(), src.len());
+    const CHUNK: usize = 16;
+    for (ci, (dc, sc)) in dst.chunks_mut(CHUNK).zip(src.chunks(CHUNK)).enumerate() {
+        let hit = dc
+            .iter()
+            .zip(sc)
+            .fold(false, |acc, (&d, &s)| acc | (s.saturating_add(offset) < d));
+        if !hit {
+            continue;
+        }
+        for (i, (d, &s)) in dc.iter_mut().zip(sc).enumerate() {
+            let cand = s.saturating_add(offset);
+            if cand < *d {
+                *d = cand;
+                // aa-lint: allow(AA05, the column indexes a distance row whose length is bounded by the u32 vertex-id space)
+                on_change((ci * CHUNK + i) as u32);
+            }
+        }
+    }
+}
+
+/// [`relax_row`] restricted to the columns in `cols`, reporting every
+/// decreased column to `on_change`. Columns outside the rows are skipped.
+#[inline]
+pub fn relax_cols(
+    dst: &mut [Weight],
+    src: &[Weight],
+    offset: Weight,
+    cols: &[u32],
+    mut on_change: impl FnMut(u32),
+) {
+    for &t in cols {
+        let (Some(d), Some(&s)) = (dst.get_mut(t as usize), src.get(t as usize)) else {
+            continue;
+        };
         let cand = s.saturating_add(offset);
         if cand < *d {
             *d = cand;
-            changed = true;
+            on_change(t);
         }
     }
-    changed
 }
 
 /// The distance vectors of one processor's owned vertices.
@@ -150,30 +196,49 @@ impl DistanceMatrix {
         &self.vertex_of_row
     }
 
+    /// Row index of vertex `v`, or `None` if `v` has no row here. Indices
+    /// are dense in `0..row_count()` and stable until a row is taken.
+    pub fn index_of(&self, v: VertexId) -> Option<usize> {
+        match self.row_of.get(v as usize) {
+            Some(&idx) if idx != NO_ROW => Some(idx as usize),
+            _ => None,
+        }
+    }
+
+    /// The row of `dst` (mutable) beside the row of `src`, or `None` if
+    /// either has no row here or both name the same row.
+    // aa-lint: allow(AA07, both indices come from index_of and are below rows.len(); split_at_mut offsets derive from them)
+    pub fn pair_mut(&mut self, dst: VertexId, src: VertexId) -> Option<(&mut [Weight], &[Weight])> {
+        let (di, si) = (self.index_of(dst)?, self.index_of(src)?);
+        if di == si {
+            return None;
+        }
+        let (lo, hi) = (di.min(si), di.max(si));
+        let (a, b) = self.rows.split_at_mut(hi);
+        let (lo_row, hi_row) = (&mut a[lo], &mut b[0]);
+        Some(if di < si {
+            (lo_row.as_mut_slice(), hi_row.as_slice())
+        } else {
+            (hi_row.as_mut_slice(), lo_row.as_slice())
+        })
+    }
+
     /// `dst_row[t] = min(dst_row[t], src_row[t] + offset)` where both rows
     /// live in this matrix. Returns whether anything changed; a self-relax is
     /// a no-op.
-    // aa-lint: allow(AA07, both row indices are asserted owned before use; split_at_mut offsets derive from those checked indices)
+    ///
+    /// # Panics
+    /// Panics if either vertex has no row here.
+    // aa-lint: allow(AA07, documented-panic accessor — callers hold the ownership invariant and the assert names the violation)
     pub fn relax_rows(&mut self, dst: VertexId, src: VertexId, offset: Weight) -> bool {
-        let di = self.row_of[dst as usize];
-        let si = self.row_of[src as usize];
-        assert!(di != NO_ROW && si != NO_ROW, "both rows must be owned here");
-        if di == si {
-            return false;
+        assert!(
+            self.has_row(dst) && self.has_row(src),
+            "both rows must be owned here"
+        );
+        match self.pair_mut(dst, src) {
+            Some((dst_row, src_row)) => relax_row(dst_row, src_row, offset),
+            None => false,
         }
-        let (di, si) = (di as usize, si as usize);
-        let (lo, hi, dst_is_lo) = if di < si {
-            (di, si, true)
-        } else {
-            (si, di, false)
-        };
-        let (a, b) = self.rows.split_at_mut(hi);
-        let (dst_row, src_row) = if dst_is_lo {
-            (&mut a[lo], &b[0] as &[Weight])
-        } else {
-            (&mut b[0], &a[lo] as &[Weight])
-        };
-        relax_row(dst_row, src_row, offset)
     }
 
     /// Relaxes the row of `dst` against an external row slice.
@@ -211,6 +276,26 @@ mod tests {
         // Saturation caps the candidate at INF, which is never an improvement.
         assert!(!relax_row(&mut dst2, &[u32::MAX - 1], 100));
         assert_eq!(dst2, vec![INF]);
+    }
+
+    #[test]
+    fn tracked_and_column_relaxes_report_changes() {
+        let src = vec![1; 40];
+        let mut dst = vec![5; 40];
+        dst[3] = 0;
+        let mut seen = Vec::new();
+        relax_row_tracked(&mut dst, &src, 2, |t| seen.push(t));
+        let want: Vec<u32> = (0..40).filter(|&t| t != 3).collect();
+        assert_eq!(seen, want);
+        assert!(dst
+            .iter()
+            .enumerate()
+            .all(|(t, &d)| d == if t == 3 { 0 } else { 3 }));
+        let mut dst = vec![5, 5, 5];
+        let mut seen = Vec::new();
+        relax_cols(&mut dst, &[1, 9, 1], 1, &[1, 2, 7], |t| seen.push(t));
+        assert_eq!(dst, vec![5, 5, 2], "only listed columns move");
+        assert_eq!(seen, vec![2]);
     }
 
     #[test]

@@ -162,9 +162,6 @@ impl AnytimeEngine {
             self.cluster
                 .compute_measured(rank, Phase::DynamicUpdate, t.elapsed());
         }
-        // The owners also learn the direct edge immediately.
-        self.procs[ou].dv.relax_with_external(u, &row_v, w);
-        self.procs[ov].dv.relax_with_external(v, &row_u, w);
     }
 
     /// Adds a batch of edges at once — the edge-additions paper's "new

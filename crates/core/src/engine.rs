@@ -263,8 +263,9 @@ impl AnytimeEngine {
                         continue; // interior vertex: no neighbour processor needs it
                     }
                     let mut trivial = Vec::new();
-                    for &dst in &ranks {
-                        if let Some(update) = ps.build_row_update(u, dst) {
+                    let updates = ps.build_row_updates(u, &ranks);
+                    for (&dst, update) in ranks.iter().zip(updates) {
+                        if let Some(update) = update {
                             outbox.push(TransferOut {
                                 dst,
                                 bytes: update.bytes(),
@@ -442,7 +443,7 @@ impl AnytimeEngine {
                     // supersets of what each member still needs. First sends
                     // always refresh — there is no older member to protect.
                     if failures.is_empty() || !ps.sent_snapshot.contains_key(&u) {
-                        ps.sent_snapshot.insert(u, ps.dv.row(u).to_vec());
+                        ps.refresh_snapshot(u);
                     }
                     for dst in failures {
                         ps.outstanding.insert(

@@ -7,7 +7,7 @@
 //! neighbouring sub-graphs". External vertices appear in the adjacency view
 //! but are never expanded: their own neighbourhoods are unknown here.
 
-use crate::dv::DistanceMatrix;
+use crate::dv::{relax_cols, relax_row, relax_row_tracked, DistanceMatrix};
 use aa_graph::{Graph, VertexId, Weight, INF};
 use aa_partition::Partition;
 use rayon::prelude::*;
@@ -38,16 +38,31 @@ impl RowUpdate {
 
 /// The changed `(column, value)` pairs between a previously sent snapshot and
 /// the current row (entries that decreased; increases only happen through
-/// deletion invalidation, which resets both sides consistently).
-// aa-lint: allow(AA07, the filter admits i >= snapshot.len() before snapshot[i] is read — the index is guarded on the same line)
+/// deletion invalidation, which resets both sides consistently). Columns
+/// past the end of the snapshot are new and always included.
 pub fn diff_rows(snapshot: &[Weight], current: &[Weight]) -> Vec<(u32, Weight)> {
-    current
-        .iter()
-        .enumerate()
-        .filter(|&(i, &c)| i >= snapshot.len() || c < snapshot[i])
+    let mut out = Vec::new();
+    for (i, (&c, &s)) in current.iter().zip(snapshot).enumerate() {
+        if c < s {
+            // aa-lint: allow(AA05, i indexes a distance row whose length is bounded by the u32 vertex-id space)
+            out.push((i as u32, c));
+        }
+    }
+    for (i, &c) in current.iter().enumerate().skip(snapshot.len()) {
         // aa-lint: allow(AA05, i indexes a distance row whose length is bounded by the u32 vertex-id space)
-        .map(|(i, &c)| (i as u32, c))
-        .collect()
+        out.push((i as u32, c));
+    }
+    out
+}
+
+/// Overwrites `dst` with `src`, in place when the lengths agree.
+fn copy_row(dst: &mut Vec<Weight>, src: &[Weight]) {
+    if dst.len() == src.len() {
+        dst.copy_from_slice(src);
+    } else {
+        dst.clear();
+        dst.extend_from_slice(src);
+    }
 }
 
 /// A boundary-row send whose delivery receipt came back negative: the
@@ -70,6 +85,95 @@ pub const RETRY_BACKOFF_CAP: u64 = 8;
 /// time-to-convergence finite for any drop rate below 1.
 pub fn retry_backoff(attempts: u32) -> u64 {
     1u64 << (attempts.saturating_sub(1)).min(3)
+}
+
+/// Reusable scratch of [`ProcState::propagate_worklist`]: the FIFO of
+/// queued rows and, per queued row, the columns that decreased since its
+/// last pop. Indexed by distance-matrix row index; empty between calls.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Worklist {
+    queue: VecDeque<VertexId>,
+    /// Per row: waiting in `queue`.
+    queued: Vec<bool>,
+    /// Per row: relax every column on the next pop (caller seeds, and rows
+    /// whose column list outgrew [`Self::limit`]).
+    dense: Vec<bool>,
+    /// Per row: columns decreased since the last pop, in first-change order.
+    cols: Vec<Vec<u32>>,
+    /// Row-major bitset over `(row, column)` deduplicating `cols`.
+    seen: Vec<u64>,
+    /// `u64` words per row in `seen`.
+    words: usize,
+    /// Column-list length past which a row turns dense.
+    limit: usize,
+}
+
+impl Worklist {
+    /// Sizes the scratch for `rows` rows of `cols` columns. Every flag, list
+    /// and bit is clear between calls, so re-sizing needs no wipe.
+    fn begin(&mut self, rows: usize, cols: usize) {
+        self.words = cols.div_ceil(64);
+        self.limit = (cols / 16).max(1);
+        self.queued.resize(rows, false);
+        self.dense.resize(rows, false);
+        self.cols.resize(rows, Vec::new());
+        self.seen.resize(rows * self.words, 0);
+    }
+
+    /// Queues row `ri` (vertex `v`) if it is not already waiting.
+    // aa-lint: allow(AA07, row indices come from DistanceMatrix::index_of and begin() sized every table to the row count)
+    fn enqueue(&mut self, ri: usize, v: VertexId) {
+        if !self.queued[ri] {
+            self.queued[ri] = true;
+            self.queue.push_back(v);
+        }
+    }
+
+    /// Records that column `t` of row `ri` decreased.
+    // aa-lint: allow(AA07, row indices come from DistanceMatrix::index_of, columns are below the column count begin() sized seen for)
+    fn record(&mut self, ri: usize, t: u32) {
+        if self.dense[ri] {
+            return;
+        }
+        let w = ri * self.words + (t / 64) as usize;
+        let bit = 1u64 << (t % 64);
+        if self.seen[w] & bit != 0 {
+            return;
+        }
+        self.seen[w] |= bit;
+        self.cols[ri].push(t);
+        if self.cols[ri].len() > self.limit {
+            self.make_dense(ri);
+        }
+    }
+
+    /// Switches row `ri` to a dense relax on its next pop.
+    // aa-lint: allow(AA07, row indices come from DistanceMatrix::index_of and begin() sized every table to the row count)
+    fn make_dense(&mut self, ri: usize) {
+        self.dense[ri] = true;
+        clear_seen(&mut self.seen, ri * self.words, &self.cols[ri]);
+        self.cols[ri].clear();
+    }
+
+    /// Pops row `ri`: moves its columns into `out` and clears its state.
+    /// Returns whether the pop is dense.
+    // aa-lint: allow(AA07, row indices come from DistanceMatrix::index_of and begin() sized every table to the row count)
+    fn pop(&mut self, ri: usize, out: &mut Vec<u32>) -> bool {
+        self.queued[ri] = false;
+        out.clear();
+        std::mem::swap(out, &mut self.cols[ri]);
+        clear_seen(&mut self.seen, ri * self.words, out);
+        std::mem::replace(&mut self.dense[ri], false)
+    }
+}
+
+/// Clears the bits of columns `cols` in the `seen` row starting at word
+/// `base`.
+// aa-lint: allow(AA07, base is a row start inside seen and listed columns were recorded below the column count begin() sized seen for)
+fn clear_seen(seen: &mut [u64], base: usize, cols: &[u32]) {
+    for &t in cols {
+        seen[base + (t / 64) as usize] &= !(1u64 << (t % 64));
+    }
 }
 
 /// State of one virtual processor.
@@ -100,6 +204,8 @@ pub struct ProcState {
     /// fault-free cluster. A processor may not vote "no more updates" while
     /// this is non-empty — undelivered rows count as in-flight work.
     pub outstanding: HashMap<(VertexId, usize), Outstanding>,
+    /// Scratch of [`Self::propagate_worklist`], kept to reuse its buffers.
+    pub(crate) worklist: Worklist,
 }
 
 impl ProcState {
@@ -115,6 +221,7 @@ impl ProcState {
             sent_snapshot: HashMap::new(),
             sent_to: HashMap::new(),
             outstanding: HashMap::new(),
+            worklist: Worklist::default(),
         }
     }
 
@@ -138,10 +245,21 @@ impl ProcState {
     pub fn sync_snapshots_to_rows(&mut self) {
         debug_assert!(self.outstanding.is_empty() && self.dirty.is_empty());
         // aa-lint: allow(AA04, per-key overwrite; the result is identical for every visit order)
-        let rows: Vec<VertexId> = self.sent_snapshot.keys().copied().collect();
-        for u in rows {
+        for (&u, snapshot) in self.sent_snapshot.iter_mut() {
             if self.dv.has_row(u) {
-                self.sent_snapshot.insert(u, self.dv.row(u).to_vec());
+                copy_row(snapshot, self.dv.row(u));
+            }
+        }
+    }
+
+    /// Sets `u`'s delta baseline to its current row, in place when one
+    /// exists.
+    pub fn refresh_snapshot(&mut self, u: VertexId) {
+        let row = self.dv.row(u);
+        match self.sent_snapshot.get_mut(&u) {
+            Some(snapshot) => copy_row(snapshot, row),
+            None => {
+                self.sent_snapshot.insert(u, row.to_vec());
             }
         }
     }
@@ -150,21 +268,32 @@ impl ProcState {
     /// `None` if `dst` is already up to date. Does not record the send — call
     /// [`Self::record_sent`] once all destinations are served.
     pub fn build_row_update(&self, u: VertexId, dst: usize) -> Option<RowUpdate> {
+        self.build_row_updates(u, &[dst]).pop().flatten()
+    }
+
+    /// [`Self::build_row_update`] for each of `dsts`, in order. The delta
+    /// against the baseline is computed once and shared by every
+    /// destination that already holds the row.
+    pub fn build_row_updates(&self, u: VertexId, dsts: &[usize]) -> Vec<Option<RowUpdate>> {
         let row = self.dv.row(u);
-        if self.sent_to.get(&u).is_some_and(|s| s.contains(&dst)) {
-            let snapshot = self
-                .sent_snapshot
-                .get(&u)
-                // aa-lint: allow(AA01, record_sent inserts sent_snapshot and sent_to together, so membership in sent_to implies the snapshot)
-                .expect("snapshot exists for sent row");
-            let delta = diff_rows(snapshot, row);
-            if delta.is_empty() {
-                return None;
-            }
-            Some(RowUpdate::Delta(delta))
-        } else {
-            Some(RowUpdate::Full(row.to_vec()))
-        }
+        let holders = self.sent_to.get(&u);
+        let mut delta: Option<Vec<(u32, Weight)>> = None;
+        dsts.iter()
+            .map(|dst| {
+                if !holders.is_some_and(|s| s.contains(dst)) {
+                    return Some(RowUpdate::Full(row.to_vec()));
+                }
+                let delta = delta.get_or_insert_with(|| {
+                    let snapshot = self
+                        .sent_snapshot
+                        .get(&u)
+                        // aa-lint: allow(AA01, record_sent inserts sent_snapshot and sent_to together, so membership in sent_to implies the snapshot)
+                        .expect("snapshot exists for sent row");
+                    diff_rows(snapshot, row)
+                });
+                (!delta.is_empty()).then(|| RowUpdate::Delta(delta.clone()))
+            })
+            .collect()
     }
 
     /// Records that row `u` was just sent to exactly `dsts`, refreshing the
@@ -173,7 +302,7 @@ impl ProcState {
     /// went) gets a full row on next contact rather than an under-informed
     /// delta.
     pub fn record_sent(&mut self, u: VertexId, dsts: &[usize]) {
-        self.sent_snapshot.insert(u, self.dv.row(u).to_vec());
+        self.refresh_snapshot(u);
         self.sent_to.insert(u, dsts.iter().copied().collect());
     }
 
@@ -277,6 +406,12 @@ impl ProcState {
 
     /// Applies a received boundary-row update: replaces or patches the cached
     /// copy, then relaxes the adjacent local rows. Returns worklist seeds.
+    ///
+    /// A delta relaxes the neighbours on *every* delta entry, not only on
+    /// entries that lower the cache: the broadcast paths of dynamic updates
+    /// overwrite cached rows without relaxing their neighbours, and the next
+    /// delta from the owner (taken against its older baseline) is what
+    /// carries those columns to them.
     // aa-lint: allow(AA07, delta columns index a row resized to world capacity first, and senders share the same world whose capacity every processor extends before exchanging)
     pub fn apply_row_update(&mut self, v: VertexId, update: RowUpdate) -> Vec<VertexId> {
         match update {
@@ -290,10 +425,22 @@ impl ProcState {
                         row[col as usize] = val;
                     }
                 }
-                let row = row.clone();
                 let mut seeds = Vec::new();
-                for &(u, w) in self.adj[v as usize].clone().iter() {
-                    if self.is_local[u as usize] && self.dv.relax_with_external(u, &row, w) {
+                for &(u, w) in &self.adj[v as usize] {
+                    if !self.is_local[u as usize] {
+                        continue;
+                    }
+                    let dst = self.dv.row_mut(u);
+                    let mut changed = false;
+                    for &(col, _) in &delta {
+                        let t = col as usize;
+                        let cand = row[t].saturating_add(w);
+                        if cand < dst[t] {
+                            dst[t] = cand;
+                            changed = true;
+                        }
+                    }
+                    if changed {
                         seeds.push(u);
                         self.dirty.insert(u);
                     }
@@ -429,7 +576,7 @@ impl ProcState {
         // pad defensively.
         let mut row = row;
         row.resize(self.adj.len(), INF);
-        for &(u, w) in self.adj[v as usize].clone().iter() {
+        for &(u, w) in &self.adj[v as usize] {
             if self.is_local[u as usize] && self.dv.relax_with_external(u, &row, w) {
                 seeds.push(u);
                 self.dirty.insert(u);
@@ -442,25 +589,87 @@ impl ProcState {
     /// Label-correcting propagation over local edges from the given seeds
     /// until the local fixed point. Marks improved rows dirty. Returns
     /// whether anything changed.
+    ///
+    /// Column-sparse: a seed relaxes its local neighbours on every column at
+    /// its first pop; any later pop relaxes them only on the columns that
+    /// decreased since the row's previous pop. This reaches the same fixed
+    /// point (and dirty set) as re-relaxing whole rows provided every row
+    /// written outside this worklist is either passed as a seed or already
+    /// consistent with its local neighbours — the invariant every caller
+    /// keeps (the seed/pull invariant in DESIGN.md).
     // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
     pub fn propagate_worklist(&mut self, seeds: Vec<VertexId>) -> bool {
+        let wl = &mut self.worklist;
+        wl.begin(self.dv.row_count(), self.dv.col_count());
+        for s in seeds {
+            if let Some(ri) = self.dv.index_of(s) {
+                wl.dense[ri] = true;
+                wl.enqueue(ri, s);
+            }
+        }
+        let mut popped = Vec::new();
         let mut changed = false;
-        let mut queue: VecDeque<VertexId> = seeds.into();
-        let mut queued: HashSet<VertexId> = queue.iter().copied().collect();
-        while let Some(v) = queue.pop_front() {
-            queued.remove(&v);
-            for &(u, w) in self.adj[v as usize].clone().iter() {
+        while let Some(v) = wl.queue.pop_front() {
+            let Some(vi) = self.dv.index_of(v) else {
+                continue;
+            };
+            let dense = wl.pop(vi, &mut popped);
+            for &(u, w) in &self.adj[v as usize] {
                 if !self.is_local[u as usize] {
                     continue;
                 }
-                if self.dv.relax_rows(u, v, w) {
+                let Some(ui) = self.dv.index_of(u) else {
+                    continue;
+                };
+                let Some((dst, src)) = self.dv.pair_mut(u, v) else {
+                    continue;
+                };
+                let mut hit = false;
+                let on_change = |t| {
+                    hit = true;
+                    wl.record(ui, t);
+                };
+                if dense {
+                    relax_row_tracked(dst, src, w, on_change);
+                } else {
+                    relax_cols(dst, src, w, &popped, on_change);
+                }
+                if hit {
                     changed = true;
                     self.dirty.insert(u);
-                    if queued.insert(u) {
-                        queue.push_back(u);
-                    }
+                    wl.enqueue(ui, u);
                 }
             }
+        }
+        changed
+    }
+
+    /// Re-establishes the local fixed point after rows were created,
+    /// restored or moved outside the worklist (migration, checkpoint
+    /// restore): pulls every row through the cached external rows, then
+    /// propagates densely from every row. Returns whether anything changed.
+    pub fn restore_local_fixpoint(&mut self) -> bool {
+        let rows = self.dv.vertices().to_vec();
+        let mut changed = false;
+        for &u in &rows {
+            changed |= self.relax_from_cache(u);
+        }
+        self.propagate_worklist(rows) || changed
+    }
+
+    /// Pulls row `u` through the rows of all its neighbours: local rows
+    /// held here and cached external rows. Marks dirty on change. A row
+    /// created outside the worklist calls this before being seeded.
+    // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
+    pub fn pull_row(&mut self, u: VertexId) -> bool {
+        let mut changed = self.relax_from_cache(u);
+        for &(x, w) in &self.adj[u as usize] {
+            if let Some((dst, src)) = self.dv.pair_mut(u, x) {
+                changed |= relax_row(dst, src, w);
+            }
+        }
+        if changed {
+            self.dirty.insert(u);
         }
         changed
     }
@@ -501,17 +710,16 @@ impl ProcState {
     // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
     pub fn relax_from_cache(&mut self, u: VertexId) -> bool {
         let mut changed = false;
-        for &(b, w) in self.adj[u as usize].clone().iter() {
+        for &(b, w) in &self.adj[u as usize] {
             if self.is_local[b as usize] {
                 continue;
             }
             if let Some(row) = self.ext_rows.get(&b) {
-                let row = row.clone();
-                if self.dv.relax_with_external(u, &row, w) {
-                    changed = true;
-                    self.dirty.insert(u);
-                }
+                changed |= self.dv.relax_with_external(u, row, w);
             }
+        }
+        if changed {
+            self.dirty.insert(u);
         }
         changed
     }
@@ -759,6 +967,120 @@ mod tests {
         let seeds = p0.apply_row_update(2, RowUpdate::Delta(vec![(3, 0)]));
         assert_eq!(seeds, vec![1]);
         assert_eq!(p0.dv.row(1)[3], 1);
+    }
+
+    #[test]
+    fn delta_relaxes_neighbours_on_entries_the_cache_already_holds() {
+        let (_, _, mut p0, mut p1) = split_path();
+        p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
+        p1.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
+        p0.apply_external_row(2, p1.dv.row(2).to_vec());
+        p0.propagate_worklist(vec![1]);
+        assert_eq!(p0.dv.row(1)[3], 2);
+        // A dynamic-update broadcast lowers the cached row in place without
+        // relaxing vertex 2's local neighbour ...
+        p0.ext_rows.get_mut(&2).unwrap()[3] = 0;
+        p0.dirty.clear();
+        // ... and the owner's next delta carries exactly the new value.
+        let seeds = p0.apply_row_update(2, RowUpdate::Delta(vec![(3, 0)]));
+        assert_eq!(seeds, vec![1], "the neighbour is relaxed on that entry");
+        assert_eq!(p0.dv.row(1)[3], 1);
+        assert!(p0.dirty.contains(&1));
+    }
+
+    /// Reference propagation: a full-row FIFO worklist in which every pop
+    /// re-relaxes the popped row's neighbours on every column.
+    fn propagate_reference(ps: &mut ProcState, seeds: Vec<VertexId>) -> bool {
+        let mut changed = false;
+        let mut queue: VecDeque<VertexId> = seeds.into();
+        let mut queued: HashSet<VertexId> = queue.iter().copied().collect();
+        while let Some(v) = queue.pop_front() {
+            queued.remove(&v);
+            for &(u, w) in ps.adj[v as usize].clone().iter() {
+                if !ps.is_local[u as usize] {
+                    continue;
+                }
+                if ps.dv.relax_rows(u, v, w) {
+                    changed = true;
+                    ps.dirty.insert(u);
+                    if queued.insert(u) {
+                        queue.push_back(u);
+                    }
+                }
+            }
+        }
+        changed
+    }
+
+    #[test]
+    fn sparse_propagation_matches_full_row_reference() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x5EED);
+        for case in 0..60u64 {
+            // A random view: rank 0 owns about a third of the vertices, the
+            // rest are owned elsewhere and show up as boundary vertices.
+            let n: usize = rng.gen_range(8..120);
+            let m = n * rng.gen_range(1..4usize);
+            let g = generators::erdos_renyi_gnm(n, m, 5, case);
+            let mut part = Partition::unassigned(n, 3);
+            for v in 0..n as VertexId {
+                part.assign(v, rng.gen_range(0..3));
+            }
+            let mut ps = ProcState::new(0, n);
+            ps.rebuild_view(&g, &part);
+            for v in 0..n as VertexId {
+                if ps.is_local[v as usize] {
+                    ps.dv.add_row(v);
+                }
+            }
+            if ps.dv.row_count() == 0 {
+                continue;
+            }
+            ps.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
+            // Cached external rows reach the local rows, as in a first
+            // recombination step, and settle to a consistent state.
+            let mut seeds = Vec::new();
+            for b in 0..n as VertexId {
+                if !ps.is_local[b as usize] && !ps.adj[b as usize].is_empty() {
+                    let row: Vec<Weight> = (0..n)
+                        .map(|_| {
+                            if rng.gen_bool(0.7) {
+                                rng.gen_range(0..30)
+                            } else {
+                                INF
+                            }
+                        })
+                        .collect();
+                    seeds.extend(ps.apply_external_row(b, row));
+                }
+            }
+            ps.propagate_worklist(seeds);
+            // Random decreases written outside the worklist: those rows are
+            // seeds, joined by a few rows that did not change.
+            let rows = ps.dv.vertices().to_vec();
+            let mut seeds = Vec::new();
+            for _ in 0..rng.gen_range(1..6) {
+                let x = rows[rng.gen_range(0..rows.len())];
+                for _ in 0..rng.gen_range(1..8) {
+                    let t = rng.gen_range(0..n);
+                    let row = ps.dv.row_mut(x);
+                    row[t] = row[t].min(rng.gen_range(0..10));
+                }
+                seeds.push(x);
+            }
+            for _ in 0..rng.gen_range(0..3) {
+                seeds.push(rows[rng.gen_range(0..rows.len())]);
+            }
+            ps.dirty.clear();
+            let mut reference = ps.clone();
+            let want = propagate_reference(&mut reference, seeds.clone());
+            let got = ps.propagate_worklist(seeds);
+            assert_eq!(got, want, "case {case}: changed flag");
+            for &x in &rows {
+                assert_eq!(ps.dv.row(x), reference.dv.row(x), "case {case}: row {x}");
+            }
+            assert_eq!(ps.dirty, reference.dirty, "case {case}: dirty set");
+        }
     }
 
     #[test]

@@ -179,6 +179,9 @@ impl AnytimeEngine {
                 for &v in &owned {
                     self.procs[rank].dirty.insert(v);
                 }
+                // Restored and reseeded rows come from different moments:
+                // settle them against each other before the worklist runs.
+                self.procs[rank].restore_local_fixpoint();
             }
             None => {
                 self.procs[rank].initial_approximation(self.config.ia);

@@ -397,19 +397,25 @@ impl AnytimeEngine {
         let migrated = self.migrate_to_partition(new_partition);
         debug_assert!(migrated < self.world.capacity());
 
-        // New vertices get rows seeded from local SSSP (existing rows are
-        // deliberately *not* updated — the paper's noted trade-off, paid
-        // back in extra recombination steps).
+        // New vertices get rows seeded from local SSSP (existing rows on
+        // other ranks are deliberately *not* updated — the paper's noted
+        // trade-off, paid back in extra recombination steps). Each new row
+        // pulls from its neighbours and then seeds a local propagation, as
+        // the seed/pull invariant of the column-sparse worklist requires.
         for rank in 0..p {
             let t = Stopwatch::start();
+            let mut seeds = Vec::new();
             for &id in &ids {
                 if self.partition.part_of(id) == Some(rank) {
                     self.procs[rank].dv.add_row(id);
                     let fresh = self.procs[rank].local_sssp(id, self.config.ia);
                     self.procs[rank].merge_row_min(id, &fresh);
                     self.procs[rank].dirty.insert(id);
+                    self.procs[rank].pull_row(id);
+                    seeds.push(id);
                 }
             }
+            self.procs[rank].propagate_worklist(seeds);
             self.cluster
                 .compute_measured(rank, Phase::Migration, t.elapsed());
         }
@@ -485,10 +491,14 @@ impl AnytimeEngine {
         self.partition = new_partition;
         for rank in 0..p {
             let t = Stopwatch::start();
-            self.procs[rank].rebuild_view(&self.world, &self.partition);
+            let ps = &mut self.procs[rank];
+            ps.rebuild_view(&self.world, &self.partition);
+            // Migrated rows meet new neighbours: restore the local fixed
+            // point the column-sparse worklist relies on.
+            ps.restore_local_fixpoint();
             // Every row must flow to the (possibly new) neighbourhoods.
-            for v in self.procs[rank].dv.vertices().to_vec() {
-                self.procs[rank].dirty.insert(v);
+            for v in ps.dv.vertices().to_vec() {
+                ps.dirty.insert(v);
             }
             self.cluster
                 .compute_measured(rank, Phase::Migration, t.elapsed());

@@ -3,7 +3,8 @@
 //! to exactly the oracle APSP of the final graph.
 
 use aa_core::{
-    AdditionStrategy, AnytimeEngine, Endpoint, EngineConfig, RepartitionMode, VertexBatch,
+    AdditionStrategy, AnytimeEngine, Endpoint, EngineConfig, PartitionerKind, RepartitionMode,
+    VertexBatch,
 };
 use aa_graph::{algo, generators, VertexId};
 use rand::prelude::*;
@@ -166,6 +167,39 @@ fn repeated_repartitions_stay_consistent() {
     assert_oracle(&e);
     e.check_invariants().unwrap();
     assert_eq!(e.graph().vertex_count(), 75);
+}
+
+/// Migration in the middle of recombination: the moved rows meet new local
+/// neighbours while their latest improvements are still in flight, so the
+/// receiving rank must settle them against each other before relying on
+/// the worklist again.
+#[test]
+fn rebalance_mid_convergence_matches_oracle() {
+    for seed in [0u64, 5, 6, 11] {
+        let n = 40 + (seed as usize % 5) * 20;
+        let graph = if seed % 2 == 0 {
+            generators::barabasi_albert(n, 2, 3, seed)
+        } else {
+            generators::erdos_renyi_gnm(n, n * 2, 4, seed)
+        };
+        let mut e = AnytimeEngine::new(
+            graph,
+            EngineConfig {
+                num_procs: 4,
+                seed,
+                partitioner: PartitionerKind::RoundRobin,
+                ..Default::default()
+            },
+        );
+        e.initialize();
+        e.rc_step();
+        e.rc_step();
+        assert!(e.rebalance() > 0, "seed {seed}: nothing migrated");
+        e.run_to_convergence(200);
+        assert!(e.is_converged(), "seed {seed} did not converge");
+        assert_oracle(&e);
+        e.check_invariants().unwrap();
+    }
 }
 
 #[test]

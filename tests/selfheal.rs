@@ -17,8 +17,8 @@
 //! real OS threads.
 
 use aa_core::{
-    AdditionStrategy, AnytimeEngine, EngineConfig, FaultConfig, ProcFaultConfig, RankHealth,
-    RecoveryMethod, SupervisorConfig, VertexBatch,
+    AdditionStrategy, AnytimeEngine, Endpoint, EngineConfig, FaultConfig, PartitionerKind,
+    ProcFaultConfig, RankHealth, RecoveryMethod, SupervisorConfig, VertexBatch,
 };
 use aa_graph::{algo, generators};
 use aa_logp::Phase;
@@ -301,6 +301,53 @@ fn stale_epoch_checkpoint_falls_back_to_reseed(backend: BackendKind) {
     e.check_invariants().unwrap();
 }
 
+/// Vertices added after the last checkpoint are missing from it, so the
+/// replacement rank mixes restored rows with freshly reseeded ones from a
+/// later graph. The two kinds must be settled against each other before
+/// recombination resumes, or the reseeded rows never learn what their
+/// restored neighbours already know.
+fn checkpoint_missing_new_rows_recovers_exactly(backend: BackendKind) {
+    let g = generators::barabasi_albert(100, 2, 3, 88);
+    let mut e = AnytimeEngine::new(
+        g,
+        EngineConfig {
+            partitioner: PartitionerKind::RoundRobin,
+            ..supervised_config(
+                4,
+                88,
+                SupervisorConfig {
+                    checkpoint_interval: 4,
+                    ..Default::default()
+                },
+                backend,
+            )
+        },
+    );
+    e.initialize();
+    for _ in 0..4 {
+        e.rc_step();
+    }
+    let mut batch = VertexBatch::new(6);
+    for i in 0..6usize {
+        let anchor = ((88 * 7 + i * 13) % 100) as u32;
+        batch.connect(i, Endpoint::Existing(anchor), 1 + i as u32 % 3);
+        if i > 0 {
+            batch.connect(i, Endpoint::New(i - 1), 2);
+        }
+    }
+    e.add_vertices(&batch, AdditionStrategy::RoundRobinPs);
+    e.schedule_crash(e.rc_steps() as u64 + 1, 0);
+    e.run_to_convergence(300);
+    assert!(e.is_converged());
+
+    let log = e.recovery_log();
+    assert_eq!(log.len(), 1);
+    assert_eq!(log[0].report.method, RecoveryMethod::CheckpointRestore);
+    assert!(log[0].report.restored_rows > 0 && log[0].report.reseeded_rows > 0);
+    assert_oracle(&e);
+    e.check_invariants().unwrap();
+}
+
 /// With automatic recovery off, a detected crash degrades gracefully: the
 /// engine keeps answering closeness queries, flagging exactly the down
 /// rank's vertices as stale, until a manual recovery is requested.
@@ -520,6 +567,11 @@ macro_rules! backend_tests {
         #[test]
         fn stale_epoch_checkpoint_falls_back_to_reseed() {
             super::stale_epoch_checkpoint_falls_back_to_reseed($backend);
+        }
+
+        #[test]
+        fn checkpoint_missing_new_rows_recovers_exactly() {
+            super::checkpoint_missing_new_rows_recovers_exactly($backend);
         }
 
         #[test]
