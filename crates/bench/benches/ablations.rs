@@ -186,36 +186,9 @@ fn ablation_repartition_mode(c: &mut Criterion) {
     group.finish();
 }
 
-/// Local SSSP algorithm inside the initial approximation: Dijkstra vs
-/// Δ-stepping vs Bellman–Ford.
-fn ablation_ia_algorithm(c: &mut Criterion) {
-    use aa_core::IaAlgorithm;
-    let mut group = c.benchmark_group("ablation_ia_algorithm");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.warm_up_time(std::time::Duration::from_millis(800));
-    for (label, ia) in [
-        ("dijkstra", IaAlgorithm::Dijkstra),
-        ("delta_stepping_4", IaAlgorithm::DeltaStepping { delta: 4 }),
-        ("bellman_ford", IaAlgorithm::BellmanFord),
-    ] {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &ia, |b, &ia| {
-            b.iter(|| {
-                run_static(EngineConfig {
-                    num_procs: 8,
-                    ia,
-                    ..Default::default()
-                })
-            });
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     ablations,
     ablation_recombination,
-    ablation_ia_algorithm,
     ablation_partitioner,
     ablation_exchange_schedule,
     ablation_msg_size,

@@ -15,15 +15,15 @@ use std::path::{Path, PathBuf};
 /// Validates a `--backend`/`--threads` combination up front, so a
 /// misconfiguration fails with a clear CLI error instead of a
 /// construction-time panic deep inside the engine. Two loud failure modes:
-/// the simulator is strictly sequential (the vendored rayon stub has no real
-/// thread pool, so `--threads N > 1` would silently run on one core), and
-/// the threads backend needs the host to actually spawn OS threads.
+/// the simulator is strictly sequential (`--threads N > 1` would silently run
+/// on one core), and the threads backend needs the host to actually spawn OS
+/// threads.
 pub fn validate_backend(backend: BackendKind, threads: usize) -> Result<(), String> {
     match backend {
         BackendKind::Sim if threads > 1 => Err(format!(
             "--threads {threads} is incompatible with --backend sim: the simulator is \
-             single-threaded and the vendored rayon stub has no real thread pool, so the run \
-             would silently execute sequentially; use --backend threads for real parallelism"
+             single-threaded, so the run would silently execute sequentially; use \
+             --backend threads for real parallelism"
         )),
         BackendKind::Threads if !threads_available() => Err(
             "--backend threads: this host cannot spawn OS threads; use --backend sim".to_string(),
@@ -1503,8 +1503,8 @@ mod tests {
 
     #[test]
     fn sim_backend_with_threads_fails_loudly_everywhere() {
-        // The vendored rayon stub is silently single-threaded, so asking the
-        // sim for parallelism must be a hard CLI error — on every subcommand
+        // The simulator runs every rank on one thread, so asking the sim
+        // for parallelism must be a hard CLI error — on every subcommand
         // that builds an engine, and before any file I/O happens.
         let err = analyze(&AnalyzeOpts {
             input: PathBuf::from("/nope.txt"),

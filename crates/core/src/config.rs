@@ -34,24 +34,6 @@ impl PartitionerKind {
     }
 }
 
-/// Which single-source shortest-path algorithm the initial-approximation
-/// phase runs inside each local sub-graph. The papers use multithreaded
-/// Dijkstra ("a possible algorithm to implement the IA ... is Dijkstra's");
-/// Delta-stepping and Bellman-Ford are the classic alternatives, available as
-/// ablations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IaAlgorithm {
-    /// Binary-heap Dijkstra (default).
-    Dijkstra,
-    /// Delta-stepping bucketed label correcting with the given bucket width.
-    DeltaStepping {
-        /// Bucket width (>= 1).
-        delta: u32,
-    },
-    /// Bellman-Ford sweeps to a fixed point.
-    BellmanFord,
-}
-
 /// How a processor refines its local distance vectors after receiving
 /// boundary updates in a recombination step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,8 +175,6 @@ pub struct EngineConfig {
     pub exchange: ExchangeMode,
     /// Local refinement strategy inside recombination steps.
     pub refinement: Refinement,
-    /// Local SSSP algorithm for the initial approximation (and reseeds).
-    pub ia: IaAlgorithm,
     /// Domain-decomposition partitioner.
     pub partitioner: PartitionerKind,
     /// Repartition-S flavour.
@@ -215,7 +195,7 @@ pub struct EngineConfig {
     pub supervision: SupervisorConfig,
     /// Execution backend: the deterministic simulator (default, the
     /// correctness oracle) or real OS threads with the same schedule and
-    /// accounting (see `aa_runtime::backend`).
+    /// accounting (see `aa_runtime::Cluster`).
     pub backend: BackendKind,
     /// Worker-thread cap for the threads backend (`0` = one worker per
     /// rank). Must be 0 or 1 on the sim backend, which is strictly
@@ -230,7 +210,6 @@ impl Default for EngineConfig {
             logp: LogPParams::ethernet_1gbe(),
             exchange: ExchangeMode::Serialized,
             refinement: Refinement::WorklistRelax,
-            ia: IaAlgorithm::Dijkstra,
             partitioner: PartitionerKind::Multilevel,
             repartition: RepartitionMode::AdaptiveMultilevel,
             compute_scale: 1.0,

@@ -23,6 +23,7 @@ use aa_graph::{VertexId, Weight, INF};
 use aa_logp::Phase;
 use aa_obs::Stopwatch;
 use aa_partition::partition::UNASSIGNED;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// An endpoint of a batch edge: either another new vertex (by batch index) or
 /// an existing vertex (by id).
@@ -92,85 +93,18 @@ impl VertexBatch {
 }
 
 impl AnytimeEngine {
-    /// Dynamically adds edge `(u, v, w)` during the analysis. Returns `false`
-    /// if the edge already exists. The change is incorporated immediately
-    /// (endpoint-row broadcast + relaxation) and fully propagated by
-    /// subsequent recombination steps.
-    // aa-lint: allow(AA07, processor ranks come from owner_of or down_ranks and procs has one entry per rank from initialize; vertex ids are below world capacity)
+    /// Dynamically adds edge `(u, v, w)` during the analysis: a one-edge
+    /// [`Self::add_edges`]. Returns `false` if the edge already exists.
     pub fn add_edge(&mut self, u: VertexId, v: VertexId, w: Weight) -> bool {
-        assert!(self.initialized, "call initialize() first");
-        if !self.world.add_edge(u, v, w) {
-            return false;
-        }
-        let span = self.span_open();
-        self.obs.note_mutation();
-        let ou = self.owner_of(u);
-        let ov = self.owner_of(v);
-        self.procs[ou].view_add_edge(u, v, w);
-        if ov != ou {
-            self.procs[ov].view_add_edge(u, v, w);
-        }
-        self.relax_through_edge(u, v, w);
-        self.converged = false;
-        self.span_close(span, "dynamic-update", format!("add-edge {u}-{v}"));
-        self.feed_capture(false);
-        true
-    }
-
-    /// The edge-addition relaxation kernel: broadcast both endpoint rows,
-    /// relax every owned row on every processor, propagate locally.
-    // aa-lint: allow(AA07, processor ranks come from owner_of or down_ranks and procs has one entry per rank from initialize; vertex ids are below world capacity)
-    pub(crate) fn relax_through_edge(&mut self, u: VertexId, v: VertexId, w: Weight) {
-        let ou = self.owner_of(u);
-        let ov = self.owner_of(v);
-        let row_u = self.procs[ou].dv.row(u).to_vec();
-        let row_v = self.procs[ov].dv.row(v).to_vec();
-        let row_bytes = 4 + 4 * row_u.len();
-        self.cluster
-            .broadcast_cost(Phase::DynamicUpdate, ou, row_bytes);
-        self.cluster
-            .broadcast_cost(Phase::DynamicUpdate, ov, row_bytes);
-
-        for rank in 0..self.procs.len() {
-            let t = Stopwatch::start();
-            let ps = &mut self.procs[rank];
-            // Cache the broadcast rows wherever the endpoint is an external
-            // boundary vertex, so later invalidations can re-relax from them.
-            if !ps.is_local[u as usize] && !ps.adj[u as usize].is_empty() {
-                ps.ext_rows.insert(u, row_u.clone());
-            }
-            if !ps.is_local[v as usize] && !ps.adj[v as usize].is_empty() {
-                ps.ext_rows.insert(v, row_v.clone());
-            }
-            let mut seeds = Vec::new();
-            for x in ps.dv.vertices().to_vec() {
-                let mut changed = false;
-                let a = ps.dv.row(x)[u as usize];
-                if a != INF {
-                    changed |= ps.dv.relax_with_external(x, &row_v, a.saturating_add(w));
-                }
-                let b = ps.dv.row(x)[v as usize];
-                if b != INF {
-                    changed |= ps.dv.relax_with_external(x, &row_u, b.saturating_add(w));
-                }
-                if changed {
-                    ps.dirty.insert(x);
-                    seeds.push(x);
-                }
-            }
-            ps.propagate_worklist(seeds);
-            self.cluster
-                .compute_measured(rank, Phase::DynamicUpdate, t.elapsed());
-        }
+        self.add_edges(&[(u, v, w)]) == 1
     }
 
     /// Adds a batch of edges at once — the edge-additions paper's "new
-    /// relationship formations" arrive in batches. Each distinct endpoint's
-    /// row is broadcast once (instead of twice per edge), every processor
-    /// applies all relaxations in one sweep, and local propagation runs once
-    /// at the end. Returns the number of edges actually inserted (duplicates
-    /// and self-loops are skipped).
-    // aa-lint: allow(AA07, processor ranks come from owner_of or down_ranks and procs has one entry per rank from initialize; vertex ids are below world capacity)
+    /// relationship formations" arrive in batches. The change is incorporated
+    /// immediately by [`Self::relax_through_edges`] and fully propagated by
+    /// subsequent recombination steps. Returns the number of edges actually
+    /// inserted (duplicates and self-loops are skipped).
+    // aa-lint: allow(AA07, processor ranks come from owner_of and procs has one entry per rank from initialize)
     pub fn add_edges(&mut self, edges: &[(VertexId, VertexId, Weight)]) -> usize {
         assert!(self.initialized, "call initialize() first");
         let mut inserted: Vec<(VertexId, VertexId, Weight)> = Vec::with_capacity(edges.len());
@@ -191,33 +125,59 @@ impl AnytimeEngine {
         }
         let span = self.span_open();
         self.obs.note_mutation();
+        self.relax_through_edges(&inserted);
+        self.converged = false;
+        self.span_close(
+            span,
+            "dynamic-update",
+            format!("add-edges n={}", inserted.len()),
+        );
+        self.feed_capture(false);
+        inserted.len()
+    }
 
-        // One broadcast per distinct endpoint.
-        let mut endpoints: Vec<VertexId> = inserted.iter().flat_map(|&(u, v, _)| [u, v]).collect();
-        endpoints.sort_unstable();
-        endpoints.dedup();
-        let mut rows: std::collections::HashMap<VertexId, Vec<Weight>> =
-            std::collections::HashMap::with_capacity(endpoints.len());
-        for &e in &endpoints {
-            let owner = self.owner_of(e);
-            let row = self.procs[owner].dv.row(e).to_vec();
-            self.cluster
-                .broadcast_cost(Phase::DynamicUpdate, owner, 4 + 4 * row.len());
-            rows.insert(e, row);
-        }
+    /// Tree-broadcasts the current row of every distinct endpoint of `edges`
+    /// from its owner, once each, in ascending endpoint order. Returns the
+    /// broadcast rows by endpoint.
+    // aa-lint: allow(AA07, processor ranks come from owner_of and procs has one entry per rank from initialize)
+    fn broadcast_endpoint_rows(
+        &mut self,
+        edges: &[(VertexId, VertexId, Weight)],
+    ) -> BTreeMap<VertexId, Vec<Weight>> {
+        let endpoints: BTreeSet<VertexId> = edges.iter().flat_map(|&(u, v, _)| [u, v]).collect();
+        endpoints
+            .into_iter()
+            .map(|e| {
+                let owner = self.owner_of(e);
+                let row = self.procs[owner].dv.row(e).to_vec();
+                self.cluster
+                    .broadcast_cost(Phase::DynamicUpdate, owner, 4 + 4 * row.len());
+                (e, row)
+            })
+            .collect()
+    }
 
+    /// The edge-addition relaxation kernel (Fig. 3 of the papers) over a
+    /// batch of edges already in the views: broadcast each endpoint row once,
+    /// relax every owned row on every processor through every edge in one
+    /// sweep, then propagate locally once.
+    // aa-lint: allow(AA07, procs has one entry per rank from initialize; vertex ids are below world capacity)
+    fn relax_through_edges(&mut self, edges: &[(VertexId, VertexId, Weight)]) {
+        let rows = self.broadcast_endpoint_rows(edges);
         for rank in 0..self.procs.len() {
             let t = Stopwatch::start();
             let ps = &mut self.procs[rank];
-            for &e in &endpoints {
+            // Cache the broadcast rows wherever the endpoint is an external
+            // boundary vertex, so later invalidations can re-relax from them.
+            for (&e, row) in &rows {
                 if !ps.is_local[e as usize] && !ps.adj[e as usize].is_empty() {
-                    ps.ext_rows.insert(e, rows[&e].clone());
+                    ps.ext_rows.insert(e, row.clone());
                 }
             }
             let mut seeds = Vec::new();
             for x in ps.dv.vertices().to_vec() {
                 let mut changed = false;
-                for &(u, v, w) in &inserted {
+                for &(u, v, w) in edges {
                     let a = ps.dv.row(x)[u as usize];
                     if a != INF {
                         changed |= ps.dv.relax_with_external(x, &rows[&v], a.saturating_add(w));
@@ -236,14 +196,6 @@ impl AnytimeEngine {
             self.cluster
                 .compute_measured(rank, Phase::DynamicUpdate, t.elapsed());
         }
-        self.converged = false;
-        self.span_close(
-            span,
-            "dynamic-update",
-            format!("add-edges n={}", inserted.len()),
-        );
-        self.feed_capture(false);
-        inserted.len()
     }
 
     /// Deletion barrier: bring the engine to a genuinely quiescent fixed
@@ -263,13 +215,28 @@ impl AnytimeEngine {
             self.run_to_convergence(64 * self.procs.len() + 256);
             assert!(self.converged, "deletion barrier failed to converge");
         }
+        // At quiescence every receiver cache equals the current row, but
+        // lossy-run retransmit acks can leave delta baselines at older
+        // values; align them so the invalidation that follows resets
+        // identical values on both sides (a no-op on fault-free runs).
+        for ps in &mut self.procs {
+            ps.sync_snapshots_to_rows();
+        }
     }
 
-    /// Deletes a batch of edges at once: one deletion barrier, one broadcast
-    /// per distinct endpoint, one combined invalidation sweep (a pair is
-    /// invalidated if *any* deleted edge supports its current value), one
-    /// reseed. Returns the number of edges actually removed.
-    // aa-lint: allow(AA07, processor ranks come from owner_of or down_ranks and procs has one entry per rank from initialize; vertex ids are below world capacity)
+    /// Dynamically deletes edge `(u, v)`: a one-edge [`Self::delete_edges`].
+    /// Returns `false` if the edge is absent.
+    pub fn delete_edge(&mut self, u: VertexId, v: VertexId) -> bool {
+        self.delete_edges(&[(u, v)]) == 1
+    }
+
+    /// Deletes a batch of edges at once: converges pending updates first
+    /// (deletion barrier, see module docs), broadcasts each distinct
+    /// endpoint's pre-deletion row once, invalidates in one combined sweep
+    /// every pair supported by *any* deleted edge, reseeds from local
+    /// Dijkstra, and leaves reconvergence to subsequent recombination steps.
+    /// Returns the number of edges actually removed.
+    // aa-lint: allow(AA07, procs has one entry per rank from initialize; vertex ids are below world capacity)
     pub fn delete_edges(&mut self, edges: &[(VertexId, VertexId)]) -> usize {
         assert!(self.initialized, "call initialize() first");
         let present: Vec<(VertexId, VertexId, Weight)> = edges
@@ -280,41 +247,22 @@ impl AnytimeEngine {
             return 0;
         }
         self.deletion_barrier();
-        // At quiescence every receiver cache equals the current row, but
-        // lossy-run retransmit acks can leave delta baselines at older
-        // values; align them so the invalidation below resets identical
-        // values on both sides (a no-op on fault-free runs).
-        for ps in &mut self.procs {
-            ps.sync_snapshots_to_rows();
-        }
         let span = self.span_open();
         self.obs.note_mutation();
-        // Capture pre-deletion rows of every distinct endpoint.
-        let mut endpoints: Vec<VertexId> = present.iter().flat_map(|&(u, v, _)| [u, v]).collect();
-        endpoints.sort_unstable();
-        endpoints.dedup();
-        let mut rows: std::collections::HashMap<VertexId, Vec<Weight>> =
-            std::collections::HashMap::with_capacity(endpoints.len());
-        for &e in &endpoints {
-            let owner = self.owner_of(e);
-            let row = self.procs[owner].dv.row(e).to_vec();
-            self.cluster
-                .broadcast_cost(Phase::DynamicUpdate, owner, 4 + 4 * row.len());
-            rows.insert(e, row);
-        }
+        // Pre-deletion endpoint rows (exact, since we are converged).
+        let rows = self.broadcast_endpoint_rows(&present);
         for &(u, v, _) in &present {
             self.world.remove_edge(u, v);
         }
         // Deletion can make pre-deletion rows underestimates; per-rank
         // checkpoints from before this point are no longer restorable.
         self.invalidation_epoch += 1;
-        let ia = self.config.ia;
         for rank in 0..self.procs.len() {
             let t = Stopwatch::start();
             for &(u, v, _) in &present {
                 self.procs[rank].view_remove_edge(u, v);
             }
-            invalidate_and_reseed(&mut self.procs[rank], ia, |row, x| {
+            invalidate_and_reseed(&mut self.procs[rank], |row, x| {
                 let mut targets = Vec::new();
                 for &(u, v, w) in &present {
                     targets.extend(affected_targets_edge(row, x, u, v, w, &rows[&u], &rows[&v]));
@@ -336,63 +284,11 @@ impl AnytimeEngine {
         present.len()
     }
 
-    /// Dynamically deletes edge `(u, v)`. Converges pending updates first
-    /// (deletion barrier, see module docs), invalidates every pair supported
-    /// by the edge, reseeds from local Dijkstra, and leaves reconvergence to
-    /// subsequent recombination steps. Returns `false` if the edge is absent.
-    // aa-lint: allow(AA07, processor ranks come from owner_of or down_ranks and procs has one entry per rank from initialize; vertex ids are below world capacity)
-    pub fn delete_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        assert!(self.initialized, "call initialize() first");
-        if self.world.edge_weight(u, v).is_none() {
-            return false;
-        }
-        self.deletion_barrier();
-        // At quiescence every receiver cache equals the current row, but
-        // lossy-run retransmit acks can leave delta baselines at older
-        // values; align them so the invalidation below resets identical
-        // values on both sides (a no-op on fault-free runs).
-        for ps in &mut self.procs {
-            ps.sync_snapshots_to_rows();
-        }
-        let span = self.span_open();
-        self.obs.note_mutation();
-        // aa-lint: allow(AA01, presence established by the has-edge early-return a few lines up, with no mutation in between)
-        let w = self.world.remove_edge(u, v).expect("edge checked above");
-        // Deletion can make pre-deletion rows underestimates; per-rank
-        // checkpoints from before this point are no longer restorable.
-        self.invalidation_epoch += 1;
-        let ou = self.owner_of(u);
-        let ov = self.owner_of(v);
-        // Pre-deletion endpoint rows (exact, since we are converged).
-        let row_u = self.procs[ou].dv.row(u).to_vec();
-        let row_v = self.procs[ov].dv.row(v).to_vec();
-        let row_bytes = 4 + 4 * row_u.len();
-        self.cluster
-            .broadcast_cost(Phase::DynamicUpdate, ou, row_bytes);
-        self.cluster
-            .broadcast_cost(Phase::DynamicUpdate, ov, row_bytes);
-
-        for rank in 0..self.procs.len() {
-            let t = Stopwatch::start();
-            self.procs[rank].view_remove_edge(u, v);
-            let ia = self.config.ia;
-            invalidate_and_reseed(&mut self.procs[rank], ia, |row, x| {
-                affected_targets_edge(row, x, u, v, w, &row_u, &row_v)
-            });
-            self.cluster
-                .compute_measured(rank, Phase::DynamicUpdate, t.elapsed());
-        }
-        self.converged = false;
-        self.span_close(span, "dynamic-update", format!("delete-edge {u}-{v}"));
-        self.feed_capture(true);
-        true
-    }
-
     /// Changes the weight of edge `(u, v)`. Decreases are incorporated like
     /// additions (pure relaxation); increases like deletions (invalidate +
     /// reseed, with the deletion barrier). Returns `false` if the edge is
     /// absent or the weight unchanged.
-    // aa-lint: allow(AA07, processor ranks come from owner_of or down_ranks and procs has one entry per rank from initialize; vertex ids are below world capacity)
+    // aa-lint: allow(AA07, procs has one entry per rank from initialize)
     pub fn change_edge_weight(&mut self, u: VertexId, v: VertexId, new_w: Weight) -> bool {
         assert!(self.initialized, "call initialize() first");
         assert!(new_w != INF, "weight must be finite");
@@ -410,7 +306,7 @@ impl AnytimeEngine {
                 self.procs[rank].view_remove_edge(u, v);
                 self.procs[rank].view_add_edge(u, v, new_w);
             }
-            self.relax_through_edge(u, v, new_w);
+            self.relax_through_edges(&[(u, v, new_w)]);
             self.converged = false;
             self.span_close(span, "dynamic-update", format!("decrease-weight {u}-{v}"));
             self.feed_capture(false);
@@ -434,13 +330,6 @@ impl AnytimeEngine {
         assert!(self.initialized, "call initialize() first");
         assert!(self.world.is_alive(v), "vertex {v} is not alive");
         self.deletion_barrier();
-        // At quiescence every receiver cache equals the current row, but
-        // lossy-run retransmit acks can leave delta baselines at older
-        // values; align them so the invalidation below resets identical
-        // values on both sides (a no-op on fault-free runs).
-        for ps in &mut self.procs {
-            ps.sync_snapshots_to_rows();
-        }
         let span = self.span_open();
         self.obs.note_mutation();
         // Deletion can make pre-deletion rows underestimates; per-rank
@@ -452,7 +341,6 @@ impl AnytimeEngine {
             .broadcast_cost(Phase::DynamicUpdate, owner, 4 + 4 * row_v.len());
 
         let removed = self.world.remove_vertex(v);
-        let ia = self.config.ia;
         for rank in 0..self.procs.len() {
             let t = Stopwatch::start();
             for &(x, _) in &removed {
@@ -470,7 +358,7 @@ impl AnytimeEngine {
             }
             ps.is_local[v as usize] = false;
             ps.ext_rows.remove(&v);
-            invalidate_and_reseed(ps, ia, |row, x| affected_targets_vertex(row, x, v, &row_v));
+            invalidate_and_reseed(ps, |row, x| affected_targets_vertex(row, x, v, &row_v));
             self.cluster
                 .compute_measured(rank, Phase::DynamicUpdate, t.elapsed());
         }
@@ -543,7 +431,7 @@ fn affected_targets_vertex(
 /// row of `ps`, reseeds affected owned rows from local Dijkstra, re-relaxes
 /// them through cached boundary rows, and propagates locally.
 // aa-lint: allow(AA07, rows are full-width (world capacity) and every indexed id comes from the same world)
-fn invalidate_and_reseed<F>(ps: &mut ProcState, ia: crate::config::IaAlgorithm, affected: F)
+fn invalidate_and_reseed<F>(ps: &mut ProcState, affected: F)
 where
     F: Fn(&[Weight], VertexId) -> Vec<usize>,
 {
@@ -585,7 +473,7 @@ where
     // Reseed affected rows with post-deletion local paths and cached
     // boundary knowledge.
     for &x in &dirtied {
-        let fresh = ps.local_sssp(x, ia);
+        let fresh = ps.local_dijkstra(x);
         ps.merge_row_min(x, &fresh);
         ps.relax_from_cache(x);
         ps.dirty.insert(x);

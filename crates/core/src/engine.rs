@@ -180,13 +180,12 @@ impl AnytimeEngine {
         // execution backend (sequential on the simulator, worker threads on
         // the threads backend).
         let ia_span = self.span_open();
-        let ia = self.config.ia;
         self.cluster.run_on_ranks(
             Phase::InitialApproximation,
             &mut self.procs,
             vec![(); p],
             &vec![false; p],
-            |_, ps, ()| ps.initial_approximation(ia),
+            |_, ps, ()| ps.initial_approximation(),
         );
         self.cluster.barrier();
         self.span_close(ia_span, "initial-approximation", format!("p={p}"));

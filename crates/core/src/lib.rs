@@ -68,8 +68,8 @@ pub use aa_obs::{
 pub use aa_runtime::RankHealth;
 pub use closeness::Snapshot;
 pub use config::{
-    EngineConfig, FaultConfig, IaAlgorithm, PartitionerKind, ProcFaultConfig, Refinement,
-    RepartitionMode, SupervisorConfig,
+    EngineConfig, FaultConfig, PartitionerKind, ProcFaultConfig, Refinement, RepartitionMode,
+    SupervisorConfig,
 };
 pub use dynamic::{Endpoint, VertexBatch};
 pub use engine::AnytimeEngine;

@@ -10,7 +10,6 @@
 use crate::dv::{relax_cols, relax_row, relax_row_tracked, DistanceMatrix};
 use aa_graph::{Graph, VertexId, Weight, INF};
 use aa_partition::Partition;
-use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 
@@ -477,90 +476,14 @@ impl ProcState {
         dist
     }
 
-    /// Local single-source shortest paths with the configured algorithm.
-    /// All variants treat external boundary vertices as reachable sinks.
-    pub fn local_sssp(&self, source: VertexId, algo: crate::config::IaAlgorithm) -> Vec<Weight> {
-        use crate::config::IaAlgorithm;
-        match algo {
-            IaAlgorithm::Dijkstra => self.local_dijkstra(source),
-            IaAlgorithm::DeltaStepping { delta } => self.local_delta_stepping(source, delta),
-            IaAlgorithm::BellmanFord => self.local_bellman_ford(source),
-        }
-    }
-
-    /// Δ-stepping restricted to the local sub-graph (see
-    /// [`aa_graph::centrality::delta_stepping`] for the sequential analogue).
-    // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time — and the delta precondition is an assert naming its contract)
-    pub fn local_delta_stepping(&self, source: VertexId, delta: Weight) -> Vec<Weight> {
-        assert!(delta >= 1, "delta must be at least 1");
-        let mut dist = vec![INF; self.adj.len()];
-        dist[source as usize] = 0;
-        let mut buckets: Vec<Vec<VertexId>> = vec![vec![source]];
-        let mut bi = 0usize;
-        while bi < buckets.len() {
-            while let Some(v) = buckets[bi].pop() {
-                let dv = dist[v as usize];
-                if dv == INF || (dv / delta) as usize != bi {
-                    continue;
-                }
-                if !self.is_local[v as usize] {
-                    continue; // external boundary: reachable, not expandable
-                }
-                for &(u, w) in &self.adj[v as usize] {
-                    let nd = dv.saturating_add(w);
-                    if nd < dist[u as usize] {
-                        dist[u as usize] = nd;
-                        let b = (nd / delta) as usize;
-                        if buckets.len() <= b {
-                            buckets.resize(b + 1, Vec::new());
-                        }
-                        buckets[b].push(u);
-                    }
-                }
-            }
-            bi += 1;
-            while bi < buckets.len() && buckets[bi].is_empty() {
-                bi += 1;
-            }
-        }
-        dist
-    }
-
-    /// Bellman–Ford sweeps over the local edges to a fixed point.
-    // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
-    pub fn local_bellman_ford(&self, source: VertexId) -> Vec<Weight> {
-        let mut dist = vec![INF; self.adj.len()];
-        dist[source as usize] = 0;
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for v in 0..self.adj.len() {
-                if !self.is_local[v] || dist[v] == INF {
-                    continue;
-                }
-                for &(u, w) in &self.adj[v] {
-                    let nd = dist[v].saturating_add(w);
-                    if nd < dist[u as usize] {
-                        dist[u as usize] = nd;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        dist
-    }
-
     /// Initial approximation: computes the local-sub-graph APSP rows for all
-    /// owned vertices (multithreaded over sources — the papers' OpenMP level)
-    /// and installs them as the distance vectors. Marks every row dirty.
-    // aa-lint: allow(AA07, sources come from the matrix's own vertex list and sssp rows are full-width by construction)
-    pub fn initial_approximation(&mut self, algo: crate::config::IaAlgorithm) {
-        let sources: Vec<VertexId> = self.dv.vertices().to_vec();
-        let rows: Vec<(VertexId, Vec<Weight>)> = sources
-            .par_iter()
-            .map(|&s| (s, self.local_sssp(s, algo)))
-            .collect();
-        for (s, row) in rows {
+    /// owned vertices by local Dijkstra and installs them as the distance
+    /// vectors. Marks every row dirty. Ranks run this in parallel through
+    /// the cluster's per-rank stage (the papers' intra-node threading level).
+    // aa-lint: allow(AA07, sources come from the matrix's own vertex list and Dijkstra rows are full-width by construction)
+    pub fn initial_approximation(&mut self) {
+        for s in self.dv.vertices().to_vec() {
+            let row = self.local_dijkstra(s);
             let dst = self.dv.row_mut(s);
             dst.copy_from_slice(&row[..dst.len()]);
             self.dirty.insert(s);
@@ -803,7 +726,7 @@ mod tests {
     #[test]
     fn initial_approximation_fills_rows_and_dirties() {
         let (_, _, mut p0, _) = split_path();
-        p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
+        p0.initial_approximation();
         assert_eq!(p0.dv.row(0), &[0, 1, 2, INF]);
         assert_eq!(p0.dv.row(1), &[1, 0, 1, INF]);
         assert_eq!(p0.dirty.len(), 2);
@@ -812,8 +735,8 @@ mod tests {
     #[test]
     fn external_row_application_relaxes_neighbors() {
         let (_, _, mut p0, mut p1) = split_path();
-        p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
-        p1.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
+        p0.initial_approximation();
+        p1.initial_approximation();
         // p1 sends row of vertex 2 to p0.
         let row2 = p1.dv.row(2).to_vec();
         p0.dirty.clear();
@@ -829,8 +752,8 @@ mod tests {
     #[test]
     fn pivot_pass_spreads_boundary_knowledge() {
         let (_, _, mut p0, mut p1) = split_path();
-        p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
-        p1.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
+        p0.initial_approximation();
+        p1.initial_approximation();
         let row2 = p1.dv.row(2).to_vec();
         p0.apply_external_row(2, row2);
         // Row 1 now knows d(1,3)=2; a pivot pass through boundary vertex 1
@@ -857,7 +780,7 @@ mod tests {
     #[test]
     fn extend_capacity_grows_everything() {
         let (_, _, mut p0, _) = split_path();
-        p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
+        p0.initial_approximation();
         p0.ext_rows.insert(2, vec![2, 1, 0, 1]);
         p0.extend_capacity(6);
         assert_eq!(p0.adj.len(), 6);
@@ -869,8 +792,8 @@ mod tests {
     #[test]
     fn relax_from_cache_uses_stored_rows() {
         let (_, _, mut p0, mut p1) = split_path();
-        p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
-        p1.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
+        p0.initial_approximation();
+        p1.initial_approximation();
         let row2 = p1.dv.row(2).to_vec();
         p0.apply_external_row(2, row2);
         // Wipe row 1's knowledge of vertex 3 and recover it from the cache.
@@ -884,7 +807,7 @@ mod tests {
     #[test]
     fn merge_row_min_takes_pointwise_minimum() {
         let (_, _, mut p0, _) = split_path();
-        p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
+        p0.initial_approximation();
         p0.dv.row_mut(0)[1] = INF;
         assert!(p0.merge_row_min(0, &[9, 1, 9, 9]));
         assert_eq!(p0.dv.row(0), &[0, 1, 2, 9]);
@@ -911,7 +834,7 @@ mod tests {
     #[test]
     fn first_send_is_full_then_delta() {
         let (_, _, mut p0, _) = split_path();
-        p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
+        p0.initial_approximation();
         let upd = p0.build_row_update(1, 1).unwrap();
         assert!(matches!(upd, RowUpdate::Full(_)));
         p0.record_sent(1, &[1]);
@@ -935,7 +858,7 @@ mod tests {
     #[test]
     fn record_sent_drops_missed_destinations() {
         let (_, _, mut p0, _) = split_path();
-        p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
+        p0.initial_approximation();
         p0.record_sent(1, &[1, 0]);
         p0.dv.row_mut(1)[3] = 2;
         p0.record_sent(1, &[1]); // rank 0 missed this update
@@ -949,8 +872,8 @@ mod tests {
     #[test]
     fn apply_delta_patches_cache_and_relaxes() {
         let (_, _, mut p0, mut p1) = split_path();
-        p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
-        p1.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
+        p0.initial_approximation();
+        p1.initial_approximation();
         let row2 = p1.dv.row(2).to_vec();
         p0.apply_external_row(2, row2);
         // p1 learns d(2,0) = 2 and ships only the delta.
@@ -972,8 +895,8 @@ mod tests {
     #[test]
     fn delta_relaxes_neighbours_on_entries_the_cache_already_holds() {
         let (_, _, mut p0, mut p1) = split_path();
-        p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
-        p1.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
+        p0.initial_approximation();
+        p1.initial_approximation();
         p0.apply_external_row(2, p1.dv.row(2).to_vec());
         p0.propagate_worklist(vec![1]);
         assert_eq!(p0.dv.row(1)[3], 2);
@@ -1036,7 +959,7 @@ mod tests {
             if ps.dv.row_count() == 0 {
                 continue;
             }
-            ps.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
+            ps.initial_approximation();
             // Cached external rows reach the local rows, as in a first
             // recombination step, and settle to a consistent state.
             let mut seeds = Vec::new();
@@ -1086,7 +1009,7 @@ mod tests {
     #[test]
     fn apply_delta_without_cache_starts_from_inf() {
         let (_, _, mut p0, _) = split_path();
-        p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
+        p0.initial_approximation();
         let seeds = p0.apply_row_update(2, RowUpdate::Delta(vec![(3, 1)]));
         assert_eq!(p0.ext_rows[&2][3], 1);
         assert_eq!(p0.ext_rows[&2][0], INF);
@@ -1097,7 +1020,7 @@ mod tests {
     #[test]
     fn reset_send_state_forces_full_rows() {
         let (_, _, mut p0, _) = split_path();
-        p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
+        p0.initial_approximation();
         p0.record_sent(1, &[1]);
         p0.reset_send_state();
         assert!(matches!(

@@ -168,7 +168,7 @@ impl AnytimeEngine {
                 }
                 for &v in &owned {
                     if !have.contains(&v) {
-                        let row = self.procs[rank].local_sssp(v, self.config.ia);
+                        let row = self.procs[rank].local_dijkstra(v);
                         self.procs[rank].dv.insert_row(v, row);
                         reseeded += 1;
                     }
@@ -184,7 +184,7 @@ impl AnytimeEngine {
                 self.procs[rank].restore_local_fixpoint();
             }
             None => {
-                self.procs[rank].initial_approximation(self.config.ia);
+                self.procs[rank].initial_approximation();
                 reseeded = owned.len();
             }
         }

@@ -408,7 +408,7 @@ impl AnytimeEngine {
             for &id in &ids {
                 if self.partition.part_of(id) == Some(rank) {
                     self.procs[rank].dv.add_row(id);
-                    let fresh = self.procs[rank].local_sssp(id, self.config.ia);
+                    let fresh = self.procs[rank].local_dijkstra(id);
                     self.procs[rank].merge_row_min(id, &fresh);
                     self.procs[rank].dirty.insert(id);
                     self.procs[rank].pull_row(id);

@@ -217,7 +217,14 @@ fn initial_partition(level: &Level, k: usize, max_weight: u64, rng: &mut ChaCha8
                 if oi >= n {
                     break;
                 }
-                order[oi]
+                let seed = order[oi];
+                if p + 1 < k && weight > 0 && weight + level.vw[seed as usize] > max_weight {
+                    // The seed would overflow this part; it stays next in
+                    // line, so offering it again would loop forever. End
+                    // this part's growth and leave the seed for a later part.
+                    break;
+                }
+                seed
             };
             if part[v as usize] != usize::MAX {
                 continue;
@@ -477,6 +484,31 @@ mod tests {
         let p = MultilevelKWay::default().partition(&g, 1);
         p.validate(&g).unwrap();
         assert_eq!(edge_cut(&g, &p), 0);
+    }
+
+    #[test]
+    fn overflowing_fresh_seed_ends_the_part_instead_of_hanging() {
+        // On these R-MAT graphs the initial partition runs out of frontier
+        // and meets a fresh seed that would overflow the growing part. Each
+        // runs in a thread so that a hang fails here instead of stalling
+        // the suite (a hung thread cannot be joined, only abandoned).
+        for seed in [8, 16] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let worker = std::thread::spawn(move || {
+                let g = aa_graph::rmat::rmat(10, 4 << 10, Default::default(), 4, seed);
+                let p = MultilevelKWay {
+                    seed,
+                    ..MultilevelKWay::default()
+                }
+                .partition(&g, 16);
+                let _ = tx.send(p.validate(&g));
+            });
+            let verdict = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("R-MAT seed {seed}: partition hung"));
+            worker.join().unwrap();
+            verdict.unwrap();
+        }
     }
 
     #[test]

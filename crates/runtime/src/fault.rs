@@ -8,7 +8,7 @@
 //! how other links interleave — the property the chaos property tests and
 //! the `chaos` CLI command rely on.
 //!
-//! The plan only *decides*; [`crate::SimCluster::exchange_with_receipts`]
+//! The plan only *decides*; [`crate::Cluster::exchange_with_receipts`]
 //! applies the decisions, keeps charging clocks and ledger for dropped
 //! bytes (the network was used either way), and reports per-sender delivery
 //! receipts so the protocol layer can retransmit.

@@ -4,7 +4,7 @@
 //! The papers run on a 32-node MPI cluster. This runtime replaces it with a
 //! *simulated* distributed-memory machine: `P` virtual processors advance in
 //! supersteps; the algorithm layer keeps one state object per processor and
-//! moves data between them exclusively through [`SimCluster`], which charges
+//! moves data between them exclusively through [`Cluster`], which charges
 //! every transfer to per-processor LogP virtual clocks and a cost ledger.
 //!
 //! Why keep the simulator at all: the algorithms under study are defined
@@ -13,22 +13,19 @@
 //! run reproducible, and yields a hardware-independent "cluster time" (the
 //! LogP makespan) that the figure reproductions report — see DESIGN.md §2.
 //!
-//! Since ISSUE 9 there are two interchangeable [`backend::Cluster`]
-//! variants: the [`SimCluster`] oracle above, and a [`ThreadCluster`] that
-//! runs per-rank work on real OS threads with bounded channels while
-//! funnelling all accounting through the same simulator core — so real
+//! The two execution backends ([`BackendKind`]) are the same [`Cluster`]
+//! with a different worker count: the simulator runs every per-rank stage
+//! inline, the threads backend runs [`Cluster::run_on_ranks`] on real OS
+//! threads. All accounting goes through the same code either way, so real
 //! wall-clock parallelism and the deterministic replay contract coexist,
-//! proven equivalent by the cross-backend differential suite (DESIGN.md
-//! §16).
+//! checked by the cross-backend differential suite (DESIGN.md §16).
 
-pub mod backend;
 pub mod cluster;
 pub mod detector;
 pub mod fault;
-pub mod threads;
 
-pub use backend::{BackendKind, Cluster, ExecutionBackend};
-pub use cluster::{DeliveryKind, ExchangeMode, SimCluster, TraceEvent, TransferOut};
+pub use cluster::{
+    threads_available, BackendKind, Cluster, DeliveryKind, ExchangeMode, TraceEvent, TransferOut,
+};
 pub use detector::{FailureDetector, RankHealth};
 pub use fault::{CrashFault, Delivery, FaultPlan, LinkFaults, StragglerFault};
-pub use threads::{threads_available, ThreadCluster};

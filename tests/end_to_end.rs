@@ -83,33 +83,6 @@ fn refinements_and_schedules_agree() {
 }
 
 #[test]
-fn all_ia_algorithms_converge_to_oracle() {
-    use aa_core::IaAlgorithm;
-    let graph = generators::erdos_renyi_gnm(90, 260, 7, 6);
-    for ia in [
-        IaAlgorithm::Dijkstra,
-        IaAlgorithm::DeltaStepping { delta: 3 },
-        IaAlgorithm::DeltaStepping { delta: 50 },
-        IaAlgorithm::BellmanFord,
-    ] {
-        let mut engine = run(
-            graph.clone(),
-            EngineConfig {
-                num_procs: 4,
-                ia,
-                ..Default::default()
-            },
-        );
-        assert_oracle(&engine);
-        // Dynamic updates also use the configured SSSP for reseeds.
-        let (u, v, _) = engine.graph().edges().nth(5).unwrap();
-        assert!(engine.delete_edge(u, v));
-        engine.run_to_convergence(64);
-        assert_oracle(&engine);
-    }
-}
-
-#[test]
 fn partitioner_choice_does_not_change_results() {
     let graph = generators::watts_strogatz(90, 3, 0.3, 4, 7);
     let mut reference: Option<Vec<Vec<u32>>> = None;
