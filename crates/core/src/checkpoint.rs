@@ -329,7 +329,6 @@ impl AnytimeEngine {
             converged,
             initialized: true,
             rr_cursor,
-            pivot_pending: vec![false; p],
             supervision,
             invalidation_epoch: 0,
             obs: crate::obs::EngineObs::default(),

@@ -206,11 +206,7 @@ impl AnytimeEngine {
     /// every row is marked dirty so the first recombination steps re-exchange
     /// boundary state.
     fn deletion_barrier(&mut self) {
-        let quiescent = self.converged
-            && self
-                .procs
-                .iter()
-                .all(|ps| ps.outstanding.is_empty() && ps.dirty.is_empty());
+        let quiescent = self.converged && self.procs.iter().all(|ps| !ps.has_pending_work());
         if !quiescent {
             self.run_to_convergence(64 * self.procs.len() + 256);
             assert!(self.converged, "deletion barrier failed to converge");

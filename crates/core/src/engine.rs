@@ -2,34 +2,17 @@
 //! the recombination loop, orchestrated over the simulated cluster.
 
 use crate::closeness::Snapshot;
-use crate::config::{EngineConfig, FaultConfig, Refinement};
+use crate::config::{EngineConfig, FaultConfig};
 use crate::obs::EngineObs;
-use crate::proc_state::{retry_backoff, Outstanding, ProcState, RowUpdate};
+use crate::proc_state::ProcState;
+use crate::rc::{self, Exchanged};
 use crate::supervisor::Supervision;
 use aa_graph::{Graph, VertexId, Weight, INF};
 use aa_logp::Phase;
 use aa_obs::Stopwatch;
 use aa_partition::Partition;
 use aa_runtime::{Cluster, TransferOut};
-use std::collections::{HashMap, HashSet};
-
-/// What a recombination exchange carries: boundary-row updates, plus the
-/// supervision layer's piggybacked one-byte heartbeats.
-#[derive(Debug, Clone)]
-pub(crate) enum RcPayload {
-    Row(VertexId, RowUpdate),
-    Heartbeat,
-}
-
-/// Per-rank input to the receipt-settlement stage: row-send descriptors
-/// `(row, dst, is_retransmit)`, heartbeat destinations, delivery receipts in
-/// send order, and per-dirty-row trivially-delivered destinations.
-type SettleInput = (
-    Vec<(VertexId, usize, bool)>,
-    Vec<usize>,
-    Vec<bool>,
-    Vec<(VertexId, Vec<usize>)>,
-);
+use std::collections::HashSet;
 
 /// The distributed anytime-anywhere closeness-centrality engine.
 ///
@@ -48,10 +31,6 @@ pub struct AnytimeEngine {
     pub(crate) initialized: bool,
     /// Cursor for round-robin processor assignment of new vertices.
     pub(crate) rr_cursor: usize,
-    /// Per-processor flag: a pivot pass improved something last step, so
-    /// another pass is owed even if no new boundary rows arrive
-    /// (PivotPass refinement only).
-    pub(crate) pivot_pending: Vec<bool>,
     /// Failure detector, per-rank checkpoint store and recovery log.
     pub(crate) supervision: Supervision,
     /// Bumped by every deletion (and weight increase): per-rank checkpoints
@@ -98,7 +77,6 @@ impl AnytimeEngine {
             converged: false,
             initialized: false,
             rr_cursor: 0,
-            pivot_pending: vec![false; p],
             supervision,
             invalidation_epoch: 0,
             obs: EngineObs::default(),
@@ -193,7 +171,6 @@ impl AnytimeEngine {
         self.rc_steps_done = 0;
         self.converged = false;
         self.initialized = true;
-        self.pivot_pending = vec![false; p];
         // A (re)initialization resets supervision: old checkpoints describe
         // state the rebuild just discarded, and the detector's clocks restart
         // with the step counter.
@@ -230,293 +207,73 @@ impl AnytimeEngine {
         // Per-step compute baseline for the straggler detector.
         let compute_before: Vec<f64> = self.cluster.compute_us_by_rank().to_vec();
 
-        // 1. Assemble boundary-row sends: full rows on first contact, only
-        // the changed entries afterwards (the papers' "send only the updated
-        // values of the boundary DVs"), plus due retransmits of previously
-        // dropped rows. `descs[rank][i]` describes `outbox[rank][i]`:
-        // (row, destination, is_retransmit). Down ranks assemble nothing —
-        // their dirty sets and retransmit queues stay frozen until recovery.
-        // Each live rank assembles its sends on the execution backend (the
-        // threads backend runs these closures on real workers); down ranks
-        // are skipped and contribute empty plans without a compute charge.
+        // 1. Plan (see `rc`). Down ranks plan nothing: their dirty sets and
+        // retransmit queues stay frozen until recovery.
         let down: Vec<bool> = (0..p).map(|r| self.cluster.is_down(r)).collect();
-        let partition = &self.partition;
-        let plans = self.cluster.run_on_ranks(
+        let mut plans = self.cluster.run_on_ranks(
             Phase::Recombination,
             &mut self.procs,
             vec![(); p],
             &down,
-            |_, ps, ()| {
-                let mut outbox: Vec<TransferOut<RcPayload>> = Vec::new();
-                let mut descs: Vec<(VertexId, usize, bool)> = Vec::new();
-                let mut dirty_meta: Vec<(VertexId, Vec<usize>)> = Vec::new();
-                let mut dirty: Vec<VertexId> = ps.dirty.drain().collect();
-                dirty.sort_unstable(); // deterministic order
-                for u in dirty {
-                    // A fresh send supersedes any pending retransmit of the
-                    // same row: destinations still neighbouring get the new
-                    // data below, the rest no longer need the row at all.
-                    ps.outstanding.retain(|&(v, _), _| v != u);
-                    let ranks = ps.neighbor_ranks(u, partition);
-                    if ranks.is_empty() {
-                        continue; // interior vertex: no neighbour processor needs it
-                    }
-                    let mut trivial = Vec::new();
-                    let updates = ps.build_row_updates(u, &ranks);
-                    for (&dst, update) in ranks.iter().zip(updates) {
-                        if let Some(update) = update {
-                            outbox.push(TransferOut {
-                                dst,
-                                bytes: update.bytes(),
-                                payload: RcPayload::Row(u, update),
-                            });
-                            descs.push((u, dst, false));
-                        } else {
-                            trivial.push(dst);
-                        }
-                    }
-                    dirty_meta.push((u, trivial));
-                }
-                // Due retransmits. The destination was removed from `sent_to`
-                // when its receipt came back negative, so these are always
-                // full rows.
-                let mut due: Vec<(VertexId, usize)> = ps
-                    .outstanding
-                    .iter()
-                    .filter(|(_, o)| o.next_step <= now)
-                    .map(|(&key, _)| key)
-                    .collect();
-                due.sort_unstable();
-                for (u, dst) in due {
-                    match ps.build_row_update(u, dst) {
-                        Some(update) => {
-                            outbox.push(TransferOut {
-                                dst,
-                                bytes: update.bytes(),
-                                payload: RcPayload::Row(u, update),
-                            });
-                            descs.push((u, dst, true));
-                        }
-                        None => {
-                            // dst already holds the current row (it was acked
-                            // through another path); nothing left to deliver.
-                            ps.outstanding.remove(&(u, dst));
-                        }
-                    }
-                }
-                (outbox, descs, dirty_meta)
-            },
+            |_, ps, ()| ps.plan_sends(&self.partition, now, supervise),
         );
-        let mut outbox: Vec<Vec<TransferOut<RcPayload>>> = Vec::with_capacity(p);
-        let mut descs: Vec<Vec<(VertexId, usize, bool)>> = Vec::with_capacity(p);
-        // Per dirty row: destinations that were already up to date (no bytes
-        // needed — trivially delivered).
-        let mut dirty_meta: Vec<Vec<(VertexId, Vec<usize>)>> = Vec::with_capacity(p);
-        for (ob, ds, dm) in plans {
-            outbox.push(ob);
-            descs.push(ds);
-            dirty_meta.push(dm);
-        }
-        self.obs.retransmit_sends += descs
-            .iter()
-            .flatten()
-            .filter(|&&(_, _, retry)| retry)
-            .count() as u64;
-
-        // 1b. Piggyback one-byte heartbeats from every live rank to every
-        // other rank on the same exchange, so silent-but-alive ranks remain
-        // distinguishable from crashed ones. Heartbeats ride the same faulty
-        // network as the data: chaos drops them too, which is why suspicion
-        // needs `detector_timeout` consecutive silent steps.
-        let mut hb_dsts: Vec<Vec<usize>> = (0..p).map(|_| Vec::new()).collect();
-        if supervise {
-            for rank in 0..p {
-                if self.cluster.is_down(rank) {
-                    continue;
-                }
-                for dst in 0..p {
-                    if dst != rank {
-                        outbox[rank].push(TransferOut {
-                            dst,
-                            bytes: 1,
-                            payload: RcPayload::Heartbeat,
-                        });
-                        hb_dsts[rank].push(dst);
-                    }
-                }
+        let mut heartbeats = 0u64;
+        for send in plans.iter().flat_map(|plan| &plan.sends) {
+            match send {
+                rc::Send::Row { retry: true, .. } => self.obs.retransmit_sends += 1,
+                rc::Send::Heartbeat { .. } => heartbeats += 1,
+                rc::Send::Row { .. } => {}
             }
         }
 
         // 2. Personalized all-to-all exchange, through the (possibly faulty)
-        // network, with per-sender delivery receipts.
+        // network, with per-sender delivery receipts. Heartbeats ride the
+        // same network as the data: chaos drops them too, which is why
+        // suspicion needs `detector_timeout` consecutive silent steps.
+        let outbox = plans
+            .iter_mut()
+            .map(|plan| std::mem::take(&mut plan.outbox))
+            .collect();
         let (inbox, receipts) = self
             .cluster
             .exchange_with_receipts(Phase::Recombination, outbox);
         if supervise {
-            let sent: u64 = hb_dsts.iter().map(|d| d.len() as u64).sum();
             self.cluster
-                .note_heartbeats(Phase::Recombination, sent, sent);
+                .note_heartbeats(Phase::Recombination, heartbeats, heartbeats);
         }
 
-        // 3a. Settle receipts *before* applying received rows: each row
-        // still equals its value at send time, so an all-acked row's delta
-        // baseline can be refreshed to exactly what every receiver now
-        // holds. Positive receipts double as liveness evidence: an ack
-        // proves the destination was up this step.
-        // Every rank (down ranks have nothing to settle — empty descs and
-        // receipts) settles on the backend; liveness contacts and protocol
-        // counters are returned and applied centrally in rank order, since
-        // the detector and `obs` are coordinator-side state.
-        let no_skip = vec![false; p];
-        let settle_inputs: Vec<SettleInput> = descs
+        // 3. Settle + apply on every rank. Contacts and counters come back
+        // to the coordinator, which owns the detector and `obs`.
+        let exchanged: Vec<Exchanged> = plans
             .into_iter()
-            .zip(hb_dsts)
             .zip(receipts)
-            .zip(dirty_meta)
-            .map(|(((ds, hb), rc), dm)| (ds, hb, rc, dm))
-            .collect();
-        let settled = self.cluster.run_on_ranks(
-            Phase::Recombination,
-            &mut self.procs,
-            settle_inputs,
-            &no_skip,
-            |_, ps, (descs_r, hb_r, receipts_r, dirty_r): SettleInput| {
-                debug_assert_eq!(descs_r.len() + hb_r.len(), receipts_r.len());
-                let mut contacts: Vec<usize> = Vec::new();
-                let (mut acked_sends, mut failed_sends) = (0u64, 0u64);
-                for (&dst, &ok) in hb_r.iter().zip(&receipts_r[descs_r.len()..]) {
-                    if ok {
-                        contacts.push(dst);
-                    }
-                }
-                for (&(_, dst, _), &ok) in descs_r.iter().zip(&receipts_r) {
-                    if ok {
-                        contacts.push(dst);
-                    }
-                }
-                for &ok in receipts_r.iter().take(descs_r.len()) {
-                    if ok {
-                        acked_sends += 1;
-                    } else {
-                        failed_sends += 1;
-                    }
-                }
-                let mut acked: HashMap<VertexId, Vec<usize>> = HashMap::new();
-                let mut failed: HashMap<VertexId, Vec<usize>> = HashMap::new();
-                for (&(u, dst, is_retry), &ok) in descs_r.iter().zip(&receipts_r) {
-                    if is_retry {
-                        if ok {
-                            // The receiver now caches the row as it was at
-                            // send time, which is ≤ the (older) baseline
-                            // snapshot, so future deltas against that
-                            // snapshot stay a superset of what the receiver
-                            // needs. Deliberately no baseline refresh: other
-                            // members may still be on the older snapshot.
-                            ps.sent_to.entry(u).or_default().insert(dst);
-                            ps.outstanding.remove(&(u, dst));
-                        } else {
-                            let o = ps
-                                .outstanding
-                                .get_mut(&(u, dst))
-                                .expect("retransmit has an outstanding entry");
-                            o.attempts += 1;
-                            o.next_step = now + retry_backoff(o.attempts);
-                        }
-                    } else if ok {
-                        acked.entry(u).or_default().push(dst);
-                    } else {
-                        failed.entry(u).or_default().push(dst);
-                    }
-                }
-                for (u, trivial) in dirty_r {
-                    let mut delivered: HashSet<usize> = trivial.into_iter().collect();
-                    delivered.extend(acked.remove(&u).unwrap_or_default());
-                    let failures = failed.remove(&u).unwrap_or_default();
-                    // Destinations that missed this send (dropped, or their
-                    // cut edges to `u` came and went) are out of the
-                    // up-to-date set: they get a full row on next contact.
-                    ps.sent_to.insert(u, delivered);
-                    // Refresh the delta baseline only when every destination
-                    // got this send; otherwise keep the old baseline (an
-                    // upper bound of every member's cache) so deltas remain
-                    // supersets of what each member still needs. First sends
-                    // always refresh — there is no older member to protect.
-                    if failures.is_empty() || !ps.sent_snapshot.contains_key(&u) {
-                        ps.refresh_snapshot(u);
-                    }
-                    for dst in failures {
-                        ps.outstanding.insert(
-                            (u, dst),
-                            Outstanding {
-                                attempts: 1,
-                                next_step: now + 1,
-                            },
-                        );
-                    }
-                }
-                (contacts, acked_sends, failed_sends)
-            },
-        );
-        for (contacts, acked_sends, failed_sends) in settled {
-            for dst in contacts {
-                self.supervision.detector.observe_contact(dst, now);
-            }
-            self.obs.acked_sends += acked_sends;
-            self.obs.failed_sends += failed_sends;
-        }
-
-        // 3b. Apply received rows and refine locally, one closure per rank
-        // on the backend. Every inbound message (row or heartbeat) is
-        // liveness evidence for its sender, reported back as contacts and
-        // observed centrally.
-        let refinement = self.config.refinement;
-        let apply_inputs: Vec<(Vec<(usize, RcPayload)>, bool)> = inbox
-            .into_iter()
-            .zip(self.pivot_pending.iter().copied())
+            .zip(inbox)
+            .map(|((plan, receipts), inbox)| Exchanged {
+                plan,
+                receipts,
+                inbox,
+            })
             .collect();
         let applied = self.cluster.run_on_ranks(
             Phase::Recombination,
             &mut self.procs,
-            apply_inputs,
-            &no_skip,
-            |_, ps, (received, pending): (Vec<(usize, RcPayload)>, bool)| {
-                let mut contacts: Vec<usize> = Vec::new();
-                let mut seeds = Vec::new();
-                for (src, payload) in received {
-                    contacts.push(src);
-                    if let RcPayload::Row(v, update) = payload {
-                        seeds.extend(ps.apply_row_update(v, update));
-                    }
-                }
-                let pending = match refinement {
-                    Refinement::WorklistRelax => {
-                        ps.propagate_worklist(seeds);
-                        pending
-                    }
-                    Refinement::PivotPass => {
-                        if !seeds.is_empty() || pending {
-                            ps.pivot_pass()
-                        } else {
-                            pending
-                        }
-                    }
-                };
-                (contacts, pending)
-            },
+            exchanged,
+            &vec![false; p],
+            |_, ps, ex| ps.settle_and_apply(ex, now, self.config.refinement),
         );
-        for (rank, (contacts, pending)) in applied.into_iter().enumerate() {
-            for src in contacts {
-                self.supervision.detector.observe_contact(src, now);
+        for step in applied {
+            for rank in step.contacts {
+                self.supervision.detector.observe_contact(rank, now);
             }
-            self.pivot_pending[rank] = pending;
+            self.obs.acked_sends += step.acked_sends;
+            self.obs.failed_sends += step.failed_sends;
         }
 
-        // 3c. Failure detection. Stragglers: compare this step's per-rank
+        // 4. Failure detection. Stragglers: compare this step's per-rank
         // compute deltas against the live median. Crashes: any rank silent
         // for more than the timeout is suspected; the supervisor confirms it
         // down and (policy permitting) runs the recovery ladder — no manual
         // call anywhere.
-        let skip: Vec<bool> = (0..p).map(|r| self.cluster.is_down(r)).collect();
         let deltas: Vec<f64> = self
             .cluster
             .compute_us_by_rank()
@@ -526,7 +283,7 @@ impl AnytimeEngine {
             .collect();
         self.supervision
             .detector
-            .observe_step_compute(&deltas, &skip);
+            .observe_step_compute(&deltas, &down);
         if supervise {
             for rank in self.supervision.detector.suspects(now) {
                 self.supervision.detector.mark_down(rank);
@@ -536,16 +293,13 @@ impl AnytimeEngine {
             }
         }
 
-        // 4. Global termination test. Flags are computed *after* recovery so
+        // 5. Global termination test. Votes are taken *after* recovery so
         // freshly re-dirtied rows count as pending work; a down rank always
         // votes "pending" — its frozen state is not the fixed point.
-        let mut flags = vec![false; p];
-        for (rank, flag) in flags.iter_mut().enumerate() {
-            *flag = self.cluster.is_down(rank)
-                || !self.procs[rank].dirty.is_empty()
-                || self.pivot_pending[rank]
-                || !self.procs[rank].outstanding.is_empty();
-        }
+        let flags: Vec<bool> = (0..p)
+            .zip(&self.procs)
+            .map(|(rank, ps)| self.cluster.is_down(rank) || ps.has_pending_work())
+            .collect();
         let any = self.cluster.all_reduce_or(Phase::Recombination, &flags);
         self.converged = !any;
         self.span_close(rc_span, "recombination", format!("step {now}"));
@@ -775,7 +529,7 @@ impl AnytimeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PartitionerKind;
+    use crate::config::{PartitionerKind, Refinement};
     use aa_graph::{algo, generators};
 
     fn config(p: usize) -> EngineConfig {

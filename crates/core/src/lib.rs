@@ -57,6 +57,7 @@ pub mod measures;
 pub mod obs;
 pub mod proc_state;
 pub mod publish;
+pub(crate) mod rc;
 pub mod rebalance;
 pub mod resilience;
 pub mod strategy;

@@ -46,7 +46,7 @@ pub(crate) struct EngineObs {
     probe_enabled: bool,
     pub(crate) spans: SpanLog,
     pub(crate) samples: Vec<ProgressSample>,
-    /// Retransmit sends assembled (satellite of the ack-based protocol).
+    /// Retransmit sends planned (satellite of the ack-based protocol).
     pub(crate) retransmit_sends: u64,
     /// Row sends positively acknowledged by a delivery receipt.
     pub(crate) acked_sends: u64,

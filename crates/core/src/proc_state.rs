@@ -203,6 +203,9 @@ pub struct ProcState {
     /// fault-free cluster. A processor may not vote "no more updates" while
     /// this is non-empty — undelivered rows count as in-flight work.
     pub outstanding: HashMap<(VertexId, usize), Outstanding>,
+    /// A pivot pass improved something last step, so another pass is owed
+    /// even if no new boundary rows arrive (PivotPass refinement only).
+    pub(crate) pivot_pending: bool,
     /// Scratch of [`Self::propagate_worklist`], kept to reuse its buffers.
     pub(crate) worklist: Worklist,
 }
@@ -220,8 +223,15 @@ impl ProcState {
             sent_snapshot: HashMap::new(),
             sent_to: HashMap::new(),
             outstanding: HashMap::new(),
+            pivot_pending: false,
             worklist: Worklist::default(),
         }
+    }
+
+    /// This rank's termination vote: dirty rows, an owed pivot pass or an
+    /// unacknowledged send are pending work.
+    pub(crate) fn has_pending_work(&self) -> bool {
+        !self.dirty.is_empty() || self.pivot_pending || !self.outstanding.is_empty()
     }
 
     /// Forgets all delta baselines (used when ownership changes under the
@@ -264,8 +274,8 @@ impl ProcState {
     }
 
     /// Builds the update message for row `u` towards processor `dst`, or
-    /// `None` if `dst` is already up to date. Does not record the send — call
-    /// [`Self::record_sent`] once all destinations are served.
+    /// `None` if `dst` is already up to date. Does not record the send: the
+    /// settle stage does, once the receipts are back.
     pub fn build_row_update(&self, u: VertexId, dst: usize) -> Option<RowUpdate> {
         self.build_row_updates(u, &[dst]).pop().flatten()
     }
@@ -286,23 +296,13 @@ impl ProcState {
                     let snapshot = self
                         .sent_snapshot
                         .get(&u)
-                        // aa-lint: allow(AA01, record_sent inserts sent_snapshot and sent_to together, so membership in sent_to implies the snapshot)
+                        // aa-lint: allow(AA01, the settle stage gives a row its baseline on its first send, before any destination joins sent_to, so membership in sent_to implies the snapshot)
                         .expect("snapshot exists for sent row");
                     diff_rows(snapshot, row)
                 });
                 (!delta.is_empty()).then(|| RowUpdate::Delta(delta.clone()))
             })
             .collect()
-    }
-
-    /// Records that row `u` was just sent to exactly `dsts`, refreshing the
-    /// delta baseline. Ranks *not* in `dsts` are dropped from the up-to-date
-    /// set: a processor that misses an update (its cut edges to `u` came and
-    /// went) gets a full row on next contact rather than an under-informed
-    /// delta.
-    pub fn record_sent(&mut self, u: VertexId, dsts: &[usize]) {
-        self.refresh_snapshot(u);
-        self.sent_to.insert(u, dsts.iter().copied().collect());
     }
 
     /// Rebuilds the adjacency view and locality flags from the world graph
@@ -335,11 +335,6 @@ impl ProcState {
         // entries were pushed from the local side only. Nothing to dedup: the
         // loop above adds each (local, local) edge to both lists exactly once
         // and each (local, external) edge to both lists exactly once.
-    }
-
-    /// Owned vertices in row order.
-    pub fn local_vertices(&self) -> &[VertexId] {
-        self.dv.vertices()
     }
 
     /// Whether local vertex `u` has a cut edge (is a local boundary vertex).
@@ -692,6 +687,13 @@ mod tests {
         (g, part, p0, p1)
     }
 
+    /// Row `u` as the settle stage leaves a send to exactly `dsts` that
+    /// every one of them acked.
+    fn mark_sent(ps: &mut ProcState, u: VertexId, dsts: &[usize]) {
+        ps.refresh_snapshot(u);
+        ps.sent_to.insert(u, dsts.iter().copied().collect());
+    }
+
     #[test]
     fn view_contains_local_and_boundary_edges() {
         let (_, _, p0, p1) = split_path();
@@ -837,7 +839,7 @@ mod tests {
         p0.initial_approximation();
         let upd = p0.build_row_update(1, 1).unwrap();
         assert!(matches!(upd, RowUpdate::Full(_)));
-        p0.record_sent(1, &[1]);
+        mark_sent(&mut p0, 1, &[1]);
         assert!(
             p0.build_row_update(1, 1).is_none(),
             "unchanged row sends nothing"
@@ -856,12 +858,12 @@ mod tests {
     }
 
     #[test]
-    fn record_sent_drops_missed_destinations() {
+    fn missed_destination_gets_a_full_row() {
         let (_, _, mut p0, _) = split_path();
         p0.initial_approximation();
-        p0.record_sent(1, &[1, 0]);
+        mark_sent(&mut p0, 1, &[1, 0]);
         p0.dv.row_mut(1)[3] = 2;
-        p0.record_sent(1, &[1]); // rank 0 missed this update
+        mark_sent(&mut p0, 1, &[1]); // rank 0 missed this update
         assert!(
             matches!(p0.build_row_update(1, 0).unwrap(), RowUpdate::Full(_)),
             "a rank that missed an update must get a full row"
@@ -1021,7 +1023,7 @@ mod tests {
     fn reset_send_state_forces_full_rows() {
         let (_, _, mut p0, _) = split_path();
         p0.initial_approximation();
-        p0.record_sent(1, &[1]);
+        mark_sent(&mut p0, 1, &[1]);
         p0.reset_send_state();
         assert!(matches!(
             p0.build_row_update(1, 1).unwrap(),

@@ -226,7 +226,7 @@ impl AnytimeEngine {
         if self.config.refinement == Refinement::PivotPass {
             // Force a pivot pass on the replacement even if the inbound
             // flood happens to seed nothing.
-            self.pivot_pending[rank] = true;
+            self.procs[rank].pivot_pending = true;
         }
         self.converged = false;
         RecoveryReport {

@@ -19,7 +19,6 @@
 
 use crate::dynamic::{Endpoint, VertexBatch};
 use crate::engine::AnytimeEngine;
-use crate::proc_state::ProcState;
 use aa_graph::{Graph, VertexId, Weight};
 use aa_logp::Phase;
 use aa_obs::Stopwatch;
@@ -360,12 +359,14 @@ impl AnytimeEngine {
             };
             self.world.add_edge(u, v, w);
         }
-        // Repartition the grown graph. The default (FullRemap) reruns the
-        // full DD partitioner — as the papers do — and remaps the part
-        // labels onto the old partition so migration reflects structural
-        // moves only; the Adaptive ablation refines the current assignment
-        // in place (ParMETIS adaptive-repartitioning style). Parallel cost
-        // approximation as in initialize().
+        // Repartition the grown graph. The default (AdaptiveMultilevel)
+        // coarsens, projects the current partition and refines on the way
+        // up, as ParMETIS does when the papers reuse it to repartition; the
+        // FullRemap ablation reruns the full DD partitioner and remaps the
+        // part labels onto the old partition so migration reflects
+        // structural moves only; the Adaptive ablation refines the current
+        // assignment in place. Parallel cost approximation as in
+        // initialize().
         let t = Stopwatch::start();
         let new_partition = match self.config.repartition {
             crate::config::RepartitionMode::AdaptiveMultilevel => {
@@ -525,21 +526,6 @@ impl AnytimeEngine {
         self.procs = Vec::new();
         self.initialize();
         ids
-    }
-
-    /// Convenience for tests and examples: the local boundary row counts per
-    /// processor (how many owned vertices have cut edges).
-    pub fn boundary_counts(&self) -> Vec<usize> {
-        self.procs
-            .iter()
-            .map(|ps: &ProcState| {
-                ps.dv
-                    .vertices()
-                    .iter()
-                    .filter(|&&v| ps.is_boundary(v))
-                    .count()
-            })
-            .collect()
     }
 }
 

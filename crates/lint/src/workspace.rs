@@ -8,7 +8,7 @@
 //!   — in-file `#[cfg(test)]` modules are handled separately, by span);
 //! * the `bench` and `cli` crates may panic (operator tooling, AA01 exempt);
 //! * `aa-core` and `aa-runtime` form the deterministic core (AA04);
-//! * the recombination hot path (engine/proc-state/distance-vector/dynamic
+//! * the recombination hot path (engine/rc/proc-state/distance-vector/dynamic
 //!   kernels plus the simulated cluster) gets the cast rule (AA05);
 //! * every `crates/*/src/lib.rs` is a library root (AA06).
 
@@ -31,6 +31,7 @@ const DETERMINISTIC_CORE: &[&str] = &["core", "runtime", "durable", "query"];
 const HOT_PATHS: &[&str] = &[
     "crates/core/src/engine.rs",
     "crates/core/src/proc_state.rs",
+    "crates/core/src/rc.rs",
     "crates/core/src/dv.rs",
     "crates/core/src/dynamic.rs",
     "crates/runtime/src/cluster.rs",

@@ -10,7 +10,10 @@
 //! flagging compares each rank's per-step compute against the live median;
 //! a rank that exceeds `straggler_factor ×` the median (and an absolute
 //! floor, to ignore measurement noise on tiny graphs) for
-//! `straggler_patience` consecutive steps is flagged.
+//! `straggler_patience` consecutive steps is flagged. It clears once it is
+//! back within `straggler_factor ×` the median; a step under the floor in
+//! which it is still slow relative to the median neither flags nor clears
+//! it (an idle cluster says nothing about a straggler).
 //!
 //! Steps, not wall seconds, drive the timeout: the simulation's notion of
 //! time is the LogP virtual clock, which advances per recombination step, so
@@ -119,10 +122,12 @@ impl FailureDetector {
             }
             if us > threshold {
                 self.slow_streak[r] += 1;
-            } else {
+            } else if us <= median * self.straggler_factor {
                 self.slow_streak[r] = 0;
                 self.straggling[r] = false;
             }
+            // Otherwise the rank is slow relative to the median but under
+            // the floor: no evidence either way, so streak and flag stay.
             if self.slow_streak[r] >= self.straggler_patience {
                 self.straggling[r] = true;
             }
@@ -228,6 +233,20 @@ mod tests {
         assert_eq!(d.health(2, 0), RankHealth::Healthy);
         d.observe_step_compute(&[10.0, 10.0, 200.0], &[false; 3]);
         assert_eq!(d.health(2, 0), RankHealth::Straggling);
+    }
+
+    #[test]
+    fn idle_step_under_the_floor_neither_flags_nor_clears() {
+        let mut d = FailureDetector::new(3, 5, 4.0, 100.0, 1);
+        let skip = [false; 3];
+        d.observe_step_compute(&[10.0, 10.0, 500.0], &skip);
+        assert_eq!(d.health(2, 0), RankHealth::Straggling);
+        // An idle step: rank 2 is still 150× the median, under the floor.
+        d.observe_step_compute(&[0.4, 0.4, 60.0], &skip);
+        assert_eq!(d.health(2, 0), RankHealth::Straggling);
+        // Back at the median: the flag clears.
+        d.observe_step_compute(&[0.4, 0.4, 0.4], &skip);
+        assert_eq!(d.health(2, 0), RankHealth::Healthy);
     }
 
     #[test]
